@@ -245,10 +245,15 @@ def _cmd_series(args) -> int:
     return 0
 
 
+# volume tables are shape sums over every degree up to n; n = 24 takes
+# about 0.6 s, and the cost grows with the partition numbers beyond it
+VOLUME_LIMIT = 24
+
+
 def _cmd_volume(args) -> int:
     n = args.n
-    if n is None or n < 1:
-        raise UsageError("volume requires a positive --n")
+    if n is None or not 1 <= n <= VOLUME_LIMIT:
+        raise UsageError(f"volume supports 1 <= --n <= {VOLUME_LIMIT}")
     seq = (
         named_sequence("u", n)
         if args.input is None

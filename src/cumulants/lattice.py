@@ -10,6 +10,7 @@ independence is the point; keep it when modifying.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,11 +22,8 @@ from .partitions import (
     interval_partitions,
     interval_type,
     kreweras_complement,
-    leq_refinement,
     noncrossing_partitions,
     set_partitions,
-    single_block,
-    singletons,
 )
 from .series import TruncatedSeries, as_fraction
 from .transforms import (
@@ -147,24 +145,41 @@ def convolve_lattice(
 
 
 @functools.lru_cache(maxsize=None)
+def _block_refinements(block: tuple[int, ...], lattice: Lattice) -> tuple[tuple, ...]:
+    """Every partition of one block in the given lattice kind, as blocks."""
+    return tuple(
+        tuple(tuple(block[x - 1] for x in b) for b in p.blocks)
+        for p in _elements(len(block), lattice)
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def mobius_by_recursion(n: int, lattice: Lattice) -> Fraction:
     """mu(0_n, 1_n) from the defining recursion, no closed form used.
 
     Processes elements in decreasing block count (a linear extension of
     refinement) and enforces sum_{tau <= pi} mu(0_n, tau) = [pi == 0_n].
+    The tau <= pi are generated, not searched for: they are the products,
+    over the blocks of pi, of each block's partitions in the same lattice
+    kind.  In the noncrossing and interval lattices such a product lies
+    in the lattice exactly because pi does.
     """
     _check_bounds(n, lattice)
     elements = sorted(_elements(n, lattice), key=lambda p: -p.length)
-    bottom = singletons(n)
-    mu: dict[SetPartition, Fraction] = {}
+    mu: dict[tuple, int] = {}  # the recursion stays within the integers
     for pi in elements:
-        if pi == bottom:
-            mu[pi] = Fraction(1)
+        if pi.length == n:
+            mu[pi.blocks] = 1
             continue
-        mu[pi] = -sum(
-            mu[tau] for tau in elements if tau != pi and leq_refinement(tau, pi)
-        )
-    return mu[single_block(n)]
+        total = 0
+        for parts in itertools.product(
+            *(_block_refinements(b, lattice) for b in pi.blocks)
+        ):
+            tau = tuple(sorted(itertools.chain.from_iterable(parts)))
+            if tau != pi.blocks:
+                total += mu[tau]
+        mu[pi.blocks] = -total
+    return Fraction(mu[(tuple(range(1, n + 1)),)])
 
 
 def mobius_function(order: int, lattice: Lattice) -> MultiplicativeFunction:

@@ -14,12 +14,22 @@ from fractions import Fraction
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int, str or Fraction to Fraction; floats are refused."""
+    """Coerce int, str or Fraction to Fraction; floats and bools are refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot use {value!r} as an exact coefficient")
+
+
+def exact_values(raw, field: str) -> list[Fraction]:
+    """The entries of a JSON list as Fractions; errors name the field."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{field} must be a JSON array")
+    try:
+        return [as_fraction(v) for v in raw]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
 
 
 class TruncatedSeries:
@@ -142,19 +152,21 @@ class TruncatedSeries:
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse of a delta series with nonzero linear term.
 
-        Solves d(w(t)) = t coefficient by coefficient: the t^m equation is
-        triangular in w_m once w_1..w_{m-1} are known.
+        Lagrange inversion: with h = t / d(t), the inverse w has
+        w_m = [t^(m-1)] h^m / m, read off a running power of h.
         """
         if self.coeffs[0] != 0:
             raise ValueError("reversion requires a delta series")
         if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("no compositional inverse: linear coefficient is zero")
         n = self.order
+        h = TruncatedSeries(n - 1, self.coeffs[1:]).reciprocal()
         w = [Fraction(0)] * (n + 1)
-        w[1] = 1 / self.coeffs[1]
-        for m in range(2, n + 1):
-            residue = self.compose(TruncatedSeries(n, w)).coeffs[m]
-            w[m] = -residue / self.coeffs[1]
+        power = h
+        for m in range(1, n + 1):
+            w[m] = power.coeffs[m - 1] / m
+            if m < n:
+                power = power * h
         return TruncatedSeries(n, w)
 
     def log(self) -> "TruncatedSeries":
@@ -230,9 +242,9 @@ class TruncatedSeries:
             raw = data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"series JSON needs 'order' and 'coeffs': {exc}") from exc
-        if not isinstance(order, int):
-            raise ValueError("series order must be an integer")
-        coeffs = [as_fraction(c) for c in raw]
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise ValueError(f"series 'order' must be an integer, not {order!r}")
+        coeffs = exact_values(raw, "series 'coeffs'")
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"coefficient count {len(coeffs)} does not match order {order}"

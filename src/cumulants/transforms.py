@@ -29,7 +29,7 @@ from .partitions import (
     falling_factorial,
     integer_partitions,
 )
-from .series import TruncatedSeries, as_fraction
+from .series import TruncatedSeries, as_fraction, exact_values
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ class MomentSequence:
             raw = data["values"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"sequence JSON needs 'order' and 'values': {exc}") from exc
-        if not isinstance(order, int):
-            raise ValueError("sequence order must be an integer")
-        values = [as_fraction(v) for v in raw]
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise ValueError(f"sequence 'order' must be an integer, not {order!r}")
+        values = exact_values(raw, "sequence 'values'")
         if len(values) != order:
             raise ValueError(f"value count {len(values)} does not match order {order}")
         return cls(tuple(values))

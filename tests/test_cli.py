@@ -162,6 +162,21 @@ def test_transform_usage_errors(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+def test_transform_rejects_json_booleans(capsys, tmp_path):
+    for name, payload, field in [
+        ("order.json", {"order": True, "values": ["3"]}, "'order'"),
+        ("values.json", {"order": 2, "values": [True, False]}, "'values'"),
+        ("string.json", {"order": 3, "values": "123"}, "'values'"),
+        ("zero.json", {"order": 1, "values": ["1/0"]}, "'values'"),
+    ]:
+        path = write_json(tmp_path, name, payload)
+        code, out, err = run(
+            capsys, "transform", "--theory", "classical", "--direction", "m2c",
+            "--input", path,
+        )
+        assert code == 2 and out == "" and field in err, (payload, err)
+
+
 # ---------------------------------------------------------------------------
 # convolve
 
@@ -269,6 +284,16 @@ def test_series_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_series_rejects_json_booleans(capsys, tmp_path):
+    for name, payload, field in [
+        ("order.json", {"order": True, "coeffs": ["0", "3"]}, "'order'"),
+        ("coeffs.json", {"order": 1, "coeffs": [False, True]}, "'coeffs'"),
+    ]:
+        path = write_json(tmp_path, name, payload)
+        code, out, err = run(capsys, "series", "--op", "revert", "--input", path)
+        assert code == 2 and out == "" and field in err, (payload, err)
+
+
 # ---------------------------------------------------------------------------
 # volume
 
@@ -290,6 +315,18 @@ def test_volume_with_input(capsys, tmp_path):
     assert code == 2 and out == ""
     code, out, err = run(capsys, "volume", "--n", "0")
     assert code == 2 and out == ""
+
+
+def test_volume_cap(capsys, tmp_path):
+    cap = cli.VOLUME_LIMIT
+    assert cap >= 7
+    # rejected before the input is read
+    missing = str(tmp_path / "missing.json")
+    for argv in (["--n", str(cap + 1)], ["--n", "45", "--input", missing]):
+        code, out, err = run(capsys, "volume", *argv)
+        assert code == 2 and out == "" and str(cap) in err
+    data = run_json(capsys, "volume", "--n", "7")
+    assert data["orbit_moments"][-1] == "429"
 
 
 # ---------------------------------------------------------------------------

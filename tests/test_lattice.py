@@ -20,6 +20,10 @@ from cumulants.lattice import (
 from cumulants.partitions import (
     Lattice,
     SetPartition,
+    interval_partitions,
+    leq_refinement,
+    noncrossing_partitions,
+    set_partitions,
     single_block,
     singletons,
 )
@@ -105,6 +109,33 @@ def test_mobius_recursion_values():
         assert mobius_by_recursion(n, Lattice.NC) == nc_values[n - 1]
     for n in range(1, 13):
         assert mobius_by_recursion(n, Lattice.INTERVAL) == (-1) ** (n - 1)
+
+
+def _mobius_by_scan(n: int, lattice: Lattice) -> Fraction:
+    """The defining recursion with every lower ideal found by testing all
+    |L|^2 pairs for refinement."""
+    enumerate_lattice = {
+        Lattice.ALL: set_partitions,
+        Lattice.NC: noncrossing_partitions,
+        Lattice.INTERVAL: interval_partitions,
+    }[lattice]
+    elements = sorted(enumerate_lattice(n), key=lambda p: -p.length)
+    mu = {}
+    for pi in elements:
+        if pi == singletons(n):
+            mu[pi] = Fraction(1)
+            continue
+        mu[pi] = -sum(mu[tau] for tau in elements if tau != pi and leq_refinement(tau, pi))
+    return mu[single_block(n)]
+
+
+def test_mobius_recursion_matches_pair_scan():
+    for lattice in (Lattice.ALL, Lattice.NC, Lattice.INTERVAL):
+        for n in range(1, 7):
+            assert mobius_by_recursion(n, lattice) == _mobius_by_scan(n, lattice)
+    for n in (7, 8):
+        assert mobius_by_recursion(n, Lattice.INTERVAL) == _mobius_by_scan(n, Lattice.INTERVAL)
+    assert isinstance(mobius_by_recursion(5, Lattice.NC), Fraction)
 
 
 def test_mobius_inverts_zeta():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,66 @@ def test_count_by_shape_totals():
     for n in range(1, 8):
         lams = integer_partitions(n)
         assert sum(count_by_shape(l, Lattice.NC) for l in lams) == CATALAN[n - 1]
+
+
+def _kreweras_by_search(partition: SetPartition) -> SetPartition:
+    """Coarsest partition of the primed points 1', ..., n' whose union with
+    the input stays noncrossing on 1, 1', 2, 2', ..., n, n'; a search over
+    every set partition, so only for small n."""
+    n = partition.n
+    primal = [tuple(2 * x - 1 for x in b) for b in partition.blocks]
+    valid = [
+        cand
+        for cand in set_partitions(n)
+        if is_noncrossing(
+            SetPartition.from_blocks(2 * n, primal + [tuple(2 * x for x in b) for b in cand.blocks])
+        )
+    ]
+    best = min(valid, key=lambda p: p.length)
+    assert all(leq_refinement(other, best) for other in valid)
+    return best
+
+
+def test_kreweras_matches_search():
+    for n in range(1, 7):
+        for p in noncrossing_partitions(n):
+            assert kreweras_complement(p) == _kreweras_by_search(p)
+
+
+def test_kreweras_rejects_exactly_the_crossing_partitions():
+    for n in range(1, 8):
+        for p in set_partitions(n):
+            if is_noncrossing(p):
+                kreweras_complement(p)
+            else:
+                with pytest.raises(ValueError):
+                    kreweras_complement(p)
+
+
+def test_kreweras_is_the_coarsest_noncrossing_complement():
+    # beyond the search's reach: pi with K(pi) interleaved is noncrossing,
+    # and merging any two blocks of K(pi) makes it cross
+    rng = random.Random(46)
+    for n in (8, 9):
+        for p in rng.sample(noncrossing_partitions(n), 40):
+            k = kreweras_complement(p)
+            primal = [tuple(2 * x - 1 for x in b) for b in p.blocks]
+            barred = [tuple(2 * x for x in b) for b in k.blocks]
+            assert is_noncrossing(SetPartition.from_blocks(2 * n, primal + barred))
+            for i in range(len(barred)):
+                for j in range(i + 1, len(barred)):
+                    merged = [b for m, b in enumerate(barred) if m not in (i, j)]
+                    merged.append(barred[i] + barred[j])
+                    assert not is_noncrossing(SetPartition.from_blocks(2 * n, primal + merged))
+            assert kreweras_complement(k).shape() == p.shape()
+
+
+def test_noncrossing_enumeration_matches_filtering():
+    for n in range(1, 10):
+        expected = [p for p in set_partitions(n) if is_noncrossing(p)]
+        assert noncrossing_partitions(n) == expected
+    assert len(noncrossing_partitions(10)) == 16796
+    with pytest.raises(ValueError):
+        noncrossing_partitions(0)
+    with pytest.raises(ValueError):
+        noncrossing_partitions(13)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cumulants.series import TruncatedSeries
+from cumulants.series import TruncatedSeries, as_fraction
 
 
 def F(x) -> Fraction:
@@ -147,6 +147,26 @@ def test_revert_matches_lagrange_inversion():
         assert list(d.revert().coeffs) == _lagrange_coefficients(d)
 
 
+def _revert_by_composition(d: TruncatedSeries) -> TruncatedSeries:
+    """Solve d(w(t)) = t one coefficient at a time: the t^m equation is
+    linear in w_m once w_1..w_{m-1} are known."""
+    n = d.order
+    w = [Fraction(0)] * (n + 1)
+    w[1] = 1 / d.coeffs[1]
+    for m in range(2, n + 1):
+        residue = d.compose(TruncatedSeries(n, w)).coeffs[m]
+        w[m] = -residue / d.coeffs[1]
+    return TruncatedSeries(n, w)
+
+
+def test_revert_matches_coefficientwise_solution():
+    rng = random.Random(29)
+    orders = [rng.randint(1, 16) for _ in range(12)] + [22]
+    for order in orders:
+        d = random_series(rng, order, constant=0, linear=rng.choice([1, -3, Fraction(2, 5)]))
+        assert d.revert() == _revert_by_composition(d)
+
+
 def test_log_exp():
     n = 6
     exp = TruncatedSeries(n, [Fraction(1, math.factorial(k)) for k in range(n + 1)])
@@ -198,3 +218,14 @@ def test_json_roundtrip():
         TruncatedSeries.from_json({"order": 2, "coeffs": ["1"]})
     with pytest.raises(ValueError):
         TruncatedSeries.from_json({"coeffs": ["1"]})
+
+
+def test_booleans_are_not_exact_values():
+    with pytest.raises(TypeError):
+        as_fraction(True)
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, [0, True])
+    with pytest.raises(ValueError, match="'order'"):
+        TruncatedSeries.from_json({"order": True, "coeffs": ["0", "1"]})
+    with pytest.raises(ValueError, match="'coeffs'"):
+        TruncatedSeries.from_json({"order": 1, "coeffs": [False, True]})
