@@ -1,9 +1,10 @@
 """Command line interface: exact JSON in, exact JSON out.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
-Only the JSON result goes to stdout; diagnostics go to stderr.  All
-randomized verification suites run from a fixed default seed, so output
-is byte-identical across runs.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
+3 an internal error, reported as one ``internal error: <Type>: <message>``
+line on stderr.  Only the JSON result goes to stdout; diagnostics go to
+stderr.  All randomized verification suites run from a fixed default
+seed, so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import sys
 from fractions import Fraction
 
 from .lattice import (
+    CONVOLVE_LIMITS,
+    THEOREM_LIMIT,
     Lattice,
     MultiplicativeFunction,
+    _random_sequence,
     convolve_lattice,
     verify_theorem,
 )
@@ -76,43 +80,34 @@ def _parse_json(text: str):
         raise UsageError(f"malformed JSON input: {exc}") from exc
 
 
-def _load_moments(spec: str, order: int | None) -> MomentSequence:
-    """Accept a named constant, a file path, or '-' for stdin."""
-    if spec in _NAMED:
-        if order is None:
-            raise UsageError(f"named sequence {spec!r} needs --order")
-        return named_sequence(spec, order)
-    data = _parse_json(_read_input(spec))
+def _sequence_from_json(data, order: int | None) -> MomentSequence:
     try:
         seq = MomentSequence.from_json(data)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
-    if order is not None:
-        if order > seq.order:
-            raise UsageError(
-                f"requested order {order} exceeds input order {seq.order}"
-            )
-        seq = seq.truncated(order)
-    return seq
+    if order is None:
+        return seq
+    if order < 0:
+        raise UsageError(f"--order must be nonnegative, not {order}")
+    if order > seq.order:
+        raise UsageError(f"requested order {order} exceeds input order {seq.order}")
+    return seq.truncated(order)
+
+
+def _load_moments(spec: str, order: int | None) -> MomentSequence:
+    """Accept a named constant, a file path, or '-' for stdin."""
+    if spec in _NAMED:
+        if order is None or order < 0:
+            raise UsageError(f"named sequence {spec!r} needs a nonnegative --order")
+        return named_sequence(spec, order)
+    return _sequence_from_json(_parse_json(_read_input(spec)), order)
 
 
 def _load_moment_pair(spec: str, order: int | None) -> tuple[MomentSequence, MomentSequence]:
     data = _parse_json(_read_input(spec))
     if not isinstance(data, list) or len(data) != 2:
         raise UsageError("convolve expects a JSON array of exactly two sequences")
-    out = []
-    for item in data:
-        try:
-            seq = MomentSequence.from_json(item)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(str(exc)) from exc
-        if order is not None:
-            if order > seq.order:
-                raise UsageError(
-                    f"requested order {order} exceeds input order {seq.order}"
-                )
-            seq = seq.truncated(order)
-        out.append(seq)
+    out = [_sequence_from_json(item, order) for item in data]
     if out[0].order != out[1].order:
         raise UsageError("the two sequences must share one order")
     return out[0], out[1]
@@ -274,34 +269,45 @@ def _cmd_volume(args) -> int:
 # verification suites
 
 
-def _random_sequence(rng: random.Random, order: int) -> MomentSequence:
-    return MomentSequence.from_values(
-        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order)]
-    )
+def _check(name: str, pairs, seed: int, **fields) -> dict:
+    """Compare lazily generated (expected, got) pairs up to the first mismatch.
+
+    A failing check carries a counterexample that reproduces it: the
+    suite's seed, the 0-based index of the failing pair and both values.
+    """
+    check = {"name": name, **fields, "pass": True, "checked": 0}
+    for case, (expected, got) in enumerate(pairs):
+        check["checked"] += 1
+        if expected != got:
+            expected, got = (
+                v.to_json() if isinstance(v, MomentSequence) else str(v) for v in (expected, got)
+            )
+            check["pass"] = False
+            check["counterexample"] = dict(seed=seed, case=case, expected=expected, got=got)
+            break
+    return check
 
 
 def _suite_lattice(n: int, seed: int) -> dict:
-    if not 1 <= n <= 7:
-        raise UsageError("lattice suite supports 1 <= n <= 7")
+    limit = CONVOLVE_LIMITS[Lattice.ALL]
+    if not 1 <= n <= limit:
+        raise UsageError(f"lattice suite supports 1 <= n <= {limit}")
     checks = []
-    theorem_n = min(n, 6)
+    theorem_n = min(n, THEOREM_LIMIT)
     for which in ("T1", "T2", "T3", "COMMUTATIVITY"):
         rep = verify_theorem(theorem_n, which, seed=seed)
-        checks.append({"name": which, "n": theorem_n, "pass": rep["pass"], "checked": rep["checked"]})
-    delta_ok = True
-    checked = 0
-    for k in range(1, n + 1):
-        mu = MultiplicativeFunction.mobius(k)
-        zeta = MultiplicativeFunction.zeta(k)
-        expected = Fraction(1 if k == 1 else 0)
-        checked += 2
-        if (
-            convolve_lattice(mu, zeta, k, Lattice.ALL) != expected
-            or convolve_lattice(zeta, mu, k, Lattice.ALL) != expected
-        ):
-            delta_ok = False
-            break
-    checks.append({"name": "MU_STAR_ZETA", "n": n, "pass": delta_ok, "checked": checked})
+        kept = ("pass", "checked", "counterexample")
+        checks.append({"name": which, "n": theorem_n, **{k: rep[k] for k in kept if k in rep}})
+
+    def delta_pairs():
+        for k in range(1, n + 1):
+            mu = MultiplicativeFunction.mobius(k)
+            zeta = MultiplicativeFunction.zeta(k)
+            expected = Fraction(1 if k == 1 else 0)
+            yield expected, convolve_lattice(mu, zeta, k, Lattice.ALL)
+            yield expected, convolve_lattice(zeta, mu, k, Lattice.ALL)
+
+    checks.append(_check("MU_STAR_ZETA", delta_pairs(), seed, n=n))
     return {"suite": "lattice", "n": n, "checks": checks}
 
 
@@ -309,33 +315,18 @@ def _suite_abel(n: int, seed: int) -> dict:
     if not 1 <= n <= 6:
         raise UsageError("abel suite supports 1 <= n <= 6")
     rng = random.Random(seed)
-    checks = []
-    for label, build in [
-        ("g=0", lambda: MultiplierSequence.constant(0, n)),
-        ("g=1", lambda: MultiplierSequence.constant(1, n)),
-        ("g=2", lambda: MultiplierSequence.constant(2, n)),
-        ("g=3", lambda: MultiplierSequence.constant(3, n)),
-        ("g=4", lambda: MultiplierSequence.constant(4, n)),
-        ("g=n", lambda: MultiplierSequence.index(n)),
-    ]:
-        g = build()
-        ok = True
-        checked = 0
+
+    def pairs(g):
         for _ in range(10):
             seq = _random_sequence(rng, n)
             partition_sum = generalized_cumulants(seq, g)
             for m in range(1, n + 1):
-                k = int(g.g(m))
-                checked += 2
-                if partition_sum.values[m - 1] != abel_oracle(seq, g, m):
-                    ok = False
-                    break
-                if partition_sum.values[m - 1] != abel_copy_oracle(seq, k, m):
-                    ok = False
-                    break
-            if not ok:
-                break
-        checks.append({"name": label, "pass": ok, "checked": checked})
+                yield abel_oracle(seq, g, m), partition_sum.values[m - 1]
+                yield abel_copy_oracle(seq, int(g.g(m)), m), partition_sum.values[m - 1]
+
+    multipliers = {f"g={k}": MultiplierSequence.constant(k, n) for k in range(5)}
+    multipliers["g=n"] = MultiplierSequence.index(n)
+    checks = [_check(label, pairs(g), seed) for label, g in multipliers.items()]
     return {"suite": "abel", "n": n, "checks": checks}
 
 
@@ -343,50 +334,29 @@ def _suite_volume(n: int, seed: int) -> dict:
     if not 1 <= n <= PARKING_LIMIT:
         raise UsageError(f"volume suite supports 1 <= n <= {PARKING_LIMIT}")
     rng = random.Random(seed)
-    checks = []
-
     count = len(enumerate_parking(n))
     total = math.factorial(n) * volume_bruteforce([1] * n)
     ok = count == (n + 1) ** (n - 1) and total == count
-    checks.append(
-        {
-            "name": "PARKING_COUNT",
-            "pass": ok,
-            "n_factorial_volume_at_ones": str(total),
-        }
+    checks = [{"name": "PARKING_COUNT", "pass": ok, "n_factorial_volume_at_ones": str(total)}]
+
+    def shape_pairs():
+        for k in range(1, min(n, 6) + 1):
+            seq = _random_sequence(rng, k)
+            yield volume_bruteforce_symmetric(seq, k), volume_shape_eval(seq, k)
+
+    catalan_pairs = (
+        (named_sequence("catalan", k).values[-1], volume_shape_eval(named_sequence("ubar", k), k))
+        for k in range(1, min(n, 6) + 1)
     )
 
-    ok = True
-    checked = 0
-    for k in range(1, min(n, 6) + 1):
-        seq = _random_sequence(rng, k)
-        checked += 1
-        if volume_bruteforce_symmetric(seq, k) != volume_shape_eval(seq, k):
-            ok = False
-            break
-    checks.append({"name": "SHAPE_VS_BRUTEFORCE", "pass": ok, "checked": checked})
+    def round_trips():
+        for _ in range(10):
+            seq = _random_sequence(rng, 8)
+            yield seq, moments_via_volume(seq)
 
-    ok = True
-    checked = 0
-    for k in range(1, min(n, 6) + 1):
-        ubar = named_sequence("ubar", k)
-        catalan = named_sequence("catalan", k)
-        lhs = math.factorial(k) * volume_shape_eval(ubar, k)
-        checked += 1
-        if lhs != math.factorial(k) * catalan.values[k - 1]:
-            ok = False
-            break
-    checks.append({"name": "CATALAN_VOLUME", "pass": ok, "checked": checked})
-
-    ok = True
-    checked = 0
-    for _ in range(10):
-        seq = _random_sequence(rng, 8)
-        checked += 1
-        if moments_via_volume(seq) != seq:
-            ok = False
-            break
-    checks.append({"name": "MOMENTS_VIA_VOLUME", "pass": ok, "checked": checked})
+    checks.append(_check("SHAPE_VS_BRUTEFORCE", shape_pairs(), seed))
+    checks.append(_check("CATALAN_VOLUME", catalan_pairs, seed))
+    checks.append(_check("MOMENTS_VIA_VOLUME", round_trips(), seed))
     return {"suite": "volume", "n": n, "checks": checks}
 
 
@@ -394,20 +364,17 @@ def _suite_transport(n: int, seed: int) -> dict:
     if not 1 <= n <= 12:
         raise UsageError("transport suite supports 1 <= n <= 12")
     rng = random.Random(seed)
-    checks = []
-    ok = True
-    checked = 0
-    for _ in range(10):
-        a = _random_sequence(rng, n)
-        b = _random_sequence(rng, n)
-        checked += 1
-        lhs = boolean_free_transport(free_convolve(a, b))
-        rhs = boolean_convolve(boolean_free_transport(a), boolean_free_transport(b))
-        if lhs != rhs:
-            ok = False
-            break
-    checks.append({"name": "INTERTWINING", "pass": ok, "checked": checked})
 
+    def pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            b = _random_sequence(rng, n)
+            yield (
+                boolean_convolve(boolean_free_transport(a), boolean_free_transport(b)),
+                boolean_free_transport(free_convolve(a, b)),
+            )
+
+    checks = [_check("INTERTWINING", pairs(), seed)]
     catalan = named_sequence("catalan", n)
     expected = MomentSequence.from_values([-1] + [0] * (n - 1))
     checks.append(
@@ -420,54 +387,36 @@ def _suite_parametrization(n: int, seed: int) -> dict:
     if not 1 <= n <= 12:
         raise UsageError("parametrization suite supports 1 <= n <= 12")
     rng = random.Random(seed)
-    checks = []
 
-    ok = True
-    checked = 0
-    for _ in range(10):
-        a = _random_sequence(rng, n)
-        c = classical_from_moments(a)
-        for m in range(1, n + 1):
-            lhs = a.moment(m)
-            rhs = sum(
-                math.comb(m - 1, j) * c.moment(j + 1) * a.moment(m - 1 - j)
-                for j in range(m)
-            )
-            checked += 1
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    checks.append({"name": "CLASSICAL_RECURSION", "pass": ok, "checked": checked})
+    def recursion_pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            c = classical_from_moments(a)
+            for m in range(1, n + 1):
+                yield a.moment(m), sum(
+                    math.comb(m - 1, j) * c.moment(j + 1) * a.moment(m - 1 - j)
+                    for j in range(m)
+                )
 
-    ok = True
-    checked = 0
-    for _ in range(10):
-        a = _random_sequence(rng, n)
-        barred = a.bar()
-        checked += 2
-        g2 = MultiplierSequence.constant(2, n)
-        if generalized_cumulants(barred, g2) != boolean_from_moments(a).bar():
-            ok = False
-            break
-        gn = MultiplierSequence.index(n)
-        if generalized_cumulants(barred, gn) != free_from_moments(a).bar():
-            ok = False
-            break
-    checks.append({"name": "BARRED_SPECIALIZATIONS", "pass": ok, "checked": checked})
+    def barred_pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            barred = a.bar()
+            g2 = MultiplierSequence.constant(2, n)
+            yield boolean_from_moments(a).bar(), generalized_cumulants(barred, g2)
+            gn = MultiplierSequence.index(n)
+            yield free_from_moments(a).bar(), generalized_cumulants(barred, gn)
 
-    ok = True
-    checked = 0
-    for _ in range(10):
-        a = _random_sequence(rng, n)
-        j = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        g = MultiplierSequence.from_values(_random_sequence(rng, n).values)
-        checked += 1
-        if generalized_cumulants(a.scaled(j), g) != generalized_cumulants(a, g).scaled(j):
-            ok = False
-            break
-    checks.append({"name": "HOMOGENEITY", "pass": ok, "checked": checked})
+    def homogeneity_pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            j = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            g = MultiplierSequence.from_values(_random_sequence(rng, n).values)
+            yield generalized_cumulants(a, g).scaled(j), generalized_cumulants(a.scaled(j), g)
+
+    checks = [_check("CLASSICAL_RECURSION", recursion_pairs(), seed)]
+    checks.append(_check("BARRED_SPECIALIZATIONS", barred_pairs(), seed))
+    checks.append(_check("HOMOGENEITY", homogeneity_pairs(), seed))
     return {"suite": "parametrization", "n": n, "checks": checks}
 
 
@@ -565,9 +514,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -189,8 +189,11 @@ def mobius_function(order: int, lattice: Lattice) -> MultiplicativeFunction:
     )
 
 
-def _random_values(rng: random.Random, count: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(count)]
+def _random_sequence(rng: random.Random, order: int) -> MomentSequence:
+    """Seeded test input: numerators -6..6 over denominators 1..4."""
+    return MomentSequence.from_values(
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order)]
+    )
 
 
 def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
@@ -216,8 +219,8 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
         report["pass"] = False
         report["counterexample"] = {k: str(v) for k, v in detail.items()}
 
-    f_seq = MomentSequence.from_values(_random_values(rng, n))
-    g_seq = MomentSequence.from_values(_random_values(rng, n))
+    f_seq = _random_sequence(rng, n)
+    g_seq = _random_sequence(rng, n)
     f_mf = MultiplicativeFunction.from_sequence(f_seq)
     g_mf = MultiplicativeFunction.from_sequence(g_seq)
 
@@ -239,7 +242,7 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     elif name == "T2":
         mu_nc = mobius_function(n, Lattice.NC)
         zeta = MultiplicativeFunction.zeta(n)
-        moments = MomentSequence.from_values(_random_values(rng, n))
+        moments = _random_sequence(rng, n)
         cumulants = free_from_moments(moments)
         back = moments_from_free(cumulants)
         m_mf = MultiplicativeFunction.from_sequence(moments)

@@ -13,9 +13,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .partitions import IntegerPartition, falling_factorial, integer_partitions
+from .partitions import IntegerPartition, falling_factorial
 from .series import as_fraction
-from .transforms import MomentSequence, free_from_moments
+from .transforms import MomentSequence, _shape_sum, free_from_moments
 
 PARKING_LIMIT = 7
 
@@ -130,17 +130,13 @@ def volume_shape_eval(seq: MomentSequence, n: int) -> Fraction:
         raise ValueError("n must be positive")
     if seq.order < n:
         raise ValueError(f"sequence must provide entries up to {n}")
-    total = Fraction(0)
-    for shape in integer_partitions(n):
-        coeff = Fraction(
-            falling_factorial(n, shape.length - 1),
-            shape.parts_factorial * shape.mult_factorial,
-        )
-        term = Fraction(1)
-        for part in shape.parts:
-            term *= seq.moment(part)
-        total += coeff * term
-    return total
+    return _shape_sum(
+        seq.values,
+        n,
+        lambda shape: Fraction(
+            falling_factorial(n, shape.length - 1), shape.parts_factorial * shape.mult_factorial
+        ),
+    )
 
 
 def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
@@ -154,14 +150,11 @@ def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
         raise ValueError("n must be positive")
     if cumulants.order < n:
         raise ValueError(f"sequence must provide entries up to {n}")
-    total = Fraction(0)
-    for shape in integer_partitions(n):
-        coeff = Fraction(falling_factorial(n, shape.length - 1), shape.mult_factorial)
-        term = Fraction(1)
-        for part in shape.parts:
-            term *= cumulants.moment(part)
-        total += coeff * term
-    return total
+    return _shape_sum(
+        cumulants.values,
+        n,
+        lambda shape: Fraction(falling_factorial(n, shape.length - 1), shape.mult_factorial),
+    )
 
 
 def moments_via_volume(moments: MomentSequence) -> MomentSequence:

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-SET_PARTITION_LIMIT = 12
+# B_11 = 678,570 set partitions take 8-10 s and 354 MiB; the 208,012
+# noncrossing partitions of 12 take 1.5 s and 133 MiB
+SET_PARTITION_LIMIT = 11
+NONCROSSING_PARTITION_LIMIT = 12
 INTERVAL_PARTITION_LIMIT = 16
 
 
@@ -225,8 +228,10 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
     Generated directly, so the cost follows the Catalan number, not the
     Bell number.
     """
-    if not 1 <= n <= SET_PARTITION_LIMIT:
-        raise ValueError(f"noncrossing enumeration supports 1 <= n <= {SET_PARTITION_LIMIT}")
+    if not 1 <= n <= NONCROSSING_PARTITION_LIMIT:
+        raise ValueError(
+            f"noncrossing enumeration supports 1 <= n <= {NONCROSSING_PARTITION_LIMIT}"
+        )
     return list(_noncrossing_partitions(n))
 
 

@@ -23,12 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import (
-    IntegerPartition,
-    d_lambda,
-    falling_factorial,
-    integer_partitions,
-)
+from .partitions import d_lambda, falling_factorial, integer_partitions
 from .series import TruncatedSeries, as_fraction, exact_values
 
 
@@ -192,11 +187,26 @@ def _check_orders(a, b) -> None:
         raise ValueError(f"sequence order mismatch: {a.order} != {b.order}")
 
 
-def _moment_product(seq: MomentSequence, shape: IntegerPartition) -> Fraction:
-    out = Fraction(1)
-    for part in shape.parts:
-        out *= seq.moment(part)
-    return out
+def _shape_sum(values, n: int, weight) -> Fraction:
+    """sum over shapes lambda of n of weight(lambda) * prod_parts values[part - 1].
+
+    The one loop behind every partition-sum formula; each theory passes
+    its own weight.
+    """
+    total = Fraction(0)
+    for shape in integer_partitions(n):
+        term = weight(shape)
+        for part in shape.parts:
+            term *= values[part - 1]
+        total += term
+    return total
+
+
+def _shape_sums(seq: MomentSequence, weight) -> MomentSequence:
+    """The shape sums of seq at every degree 1..N."""
+    return MomentSequence(
+        tuple(_shape_sum(seq.values, n, weight) for n in range(1, seq.order + 1))
+    )
 
 
 def _elementwise_sum(a: MomentSequence, b: MomentSequence) -> MomentSequence:
@@ -210,26 +220,17 @@ def _elementwise_sum(a: MomentSequence, b: MomentSequence) -> MomentSequence:
 
 def classical_from_moments(moments: MomentSequence) -> MomentSequence:
     """c_n = sum_lambda d_lambda (-1)^(l-1) (l-1)! a_lambda."""
-    out = []
-    for n in range(1, moments.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            length = shape.length
-            weight = d_lambda(shape) * (-1) ** (length - 1) * math.factorial(length - 1)
-            total += weight * _moment_product(moments, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+
+    def weight(shape):
+        length = shape.length
+        return d_lambda(shape) * (-1) ** (length - 1) * math.factorial(length - 1)
+
+    return _shape_sums(moments, weight)
 
 
 def moments_from_classical(cumulants: MomentSequence) -> MomentSequence:
     """a_n = sum_lambda d_lambda c_lambda (complete Bell polynomial)."""
-    out = []
-    for n in range(1, cumulants.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            total += d_lambda(shape) * _moment_product(cumulants, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+    return _shape_sums(cumulants, d_lambda)
 
 
 def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
@@ -246,17 +247,12 @@ def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
 
 def boolean_from_moments(moments: MomentSequence) -> MomentSequence:
     """h_n = sum_lambda (l! / m(lambda)!) (-1)^(l-1) a_lambda."""
-    out = []
-    for n in range(1, moments.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            length = shape.length
-            weight = Fraction(
-                math.factorial(length) * (-1) ** (length - 1), shape.mult_factorial
-            )
-            total += weight * _moment_product(moments, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+
+    def weight(shape):
+        length = shape.length
+        return Fraction(math.factorial(length) * (-1) ** (length - 1), shape.mult_factorial)
+
+    return _shape_sums(moments, weight)
 
 
 def moments_from_boolean(cumulants: MomentSequence) -> MomentSequence:
@@ -282,30 +278,20 @@ def boolean_from_moments_series(moments: MomentSequence) -> MomentSequence:
 
 def free_from_moments(moments: MomentSequence) -> MomentSequence:
     """r_n = sum_lambda (-n)_(l-1) a_lambda / m(lambda)!."""
-    out = []
-    for n in range(1, moments.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            weight = Fraction(
-                falling_factorial(-n, shape.length - 1), shape.mult_factorial
-            )
-            total += weight * _moment_product(moments, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+
+    def weight(shape):
+        return Fraction(falling_factorial(-shape.n, shape.length - 1), shape.mult_factorial)
+
+    return _shape_sums(moments, weight)
 
 
 def moments_from_free(cumulants: MomentSequence) -> MomentSequence:
     """a_n = sum_lambda (n)_(l-1) r_lambda / m(lambda)!."""
-    out = []
-    for n in range(1, cumulants.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            weight = Fraction(
-                falling_factorial(n, shape.length - 1), shape.mult_factorial
-            )
-            total += weight * _moment_product(cumulants, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+
+    def weight(shape):
+        return Fraction(falling_factorial(shape.n, shape.length - 1), shape.mult_factorial)
+
+    return _shape_sums(cumulants, weight)
 
 
 def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
@@ -323,20 +309,19 @@ def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
 # unified family
 
 
+def _generalized_weight(multipliers: MultiplierSequence):
+    """Shape weight d_lambda (-g_n)_(l-1) of the unified family at degree n."""
+    return lambda shape: d_lambda(shape) * falling_factorial(
+        -multipliers.g(shape.n), shape.length - 1
+    )
+
+
 def generalized_cumulants(
     moments: MomentSequence, multipliers: MultiplierSequence
 ) -> MomentSequence:
     """c_n = sum_lambda d_lambda (-g_n)_(l-1) a_lambda."""
     _check_orders(moments, multipliers)
-    out = []
-    for n in range(1, moments.order + 1):
-        g_n = multipliers.g(n)
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            weight = d_lambda(shape) * falling_factorial(-g_n, shape.length - 1)
-            total += weight * _moment_product(moments, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+    return _shape_sums(moments, _generalized_weight(multipliers))
 
 
 def moments_from_generalized(
@@ -345,26 +330,15 @@ def moments_from_generalized(
     """Inverse of generalized_cumulants by the triangular recursion.
 
     The shape (n) contributes a_n with coefficient 1, every other shape
-    involves lower moments only, so each a_n is solvable in turn.
+    involves lower moments only, so a_n is c_n minus the degree-n sum
+    taken with a_n = 0.
     """
     _check_orders(cumulants, multipliers)
+    weight = _generalized_weight(multipliers)
     acc: list[Fraction] = []
-
-    def mom(k: int) -> Fraction:
-        return Fraction(1) if k == 0 else acc[k - 1]
-
-    for n in range(1, cumulants.order + 1):
-        g_n = multipliers.g(n)
-        rest = Fraction(0)
-        for shape in integer_partitions(n):
-            if shape.length == 1:
-                continue
-            weight = d_lambda(shape) * falling_factorial(-g_n, shape.length - 1)
-            prod = Fraction(1)
-            for part in shape.parts:
-                prod *= mom(part)
-            rest += weight * prod
-        acc.append(cumulants.moment(n) - rest)
+    for n, c_n in enumerate(cumulants.values, start=1):
+        acc.append(Fraction(0))
+        acc[-1] = c_n - _shape_sum(acc, n, weight)
     return MomentSequence(tuple(acc))
 
 
@@ -551,17 +525,15 @@ def umbral_composition(
     kind = flavor.lower()
     if kind not in ("egf", "ogf"):
         raise ValueError(f"flavor must be 'egf' or 'ogf', got {flavor!r}")
-    out = []
-    for n in range(1, inner.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            if kind == "egf":
-                weight = Fraction(d_lambda(shape))
-            else:
-                weight = Fraction(math.factorial(shape.length), shape.mult_factorial)
-            total += weight * outer.moment(shape.length) * _moment_product(inner, shape)
-        out.append(total)
-    return MomentSequence(tuple(out))
+
+    def weight(shape):
+        if kind == "egf":
+            count = Fraction(d_lambda(shape))
+        else:
+            count = Fraction(math.factorial(shape.length), shape.mult_factorial)
+        return count * outer.values[shape.length - 1]
+
+    return _shape_sums(inner, weight)
 
 
 def _stirling_first(nmax: int) -> list[list[int]]:
@@ -594,15 +566,9 @@ def dot_operation(
     functions this is f_g applied to log of the moment EGF.
     """
     _check_orders(multiplier_moments, moments)
-    fact = factorial_moments(multiplier_moments)
-    out = []
-    for n in range(1, moments.order + 1):
-        total = Fraction(0)
-        for shape in integer_partitions(n):
-            total += (
-                d_lambda(shape)
-                * fact.moment(shape.length)
-                * _moment_product(moments, shape)
-            )
-        out.append(total)
-    return MomentSequence(tuple(out))
+    fact = factorial_moments(multiplier_moments).values
+
+    def weight(shape):
+        return d_lambda(shape) * fact[shape.length - 1]
+
+    return _shape_sums(moments, weight)

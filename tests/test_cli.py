@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -405,3 +407,73 @@ def test_stdout_carries_json_only(capsys):
     assert code == 0
     assert err == ""
     assert out == json.dumps({"order": 6, "values": ["1", "2", "5", "14", "42", "132"]}) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# exit codes and counterexamples
+
+
+def test_negative_order_is_a_usage_error(capsys, tmp_path):
+    path = write_json(tmp_path, "seq.json", sequence(1, 2, 3))
+    pair = write_json(tmp_path, "pair.json", [sequence(1, 2), sequence(3, 4)])
+    for argv in [
+        ("transform", "--theory", "classical", "--direction", "m2c",
+         "--input", "catalan", "--order", "-1"),
+        ("transform", "--theory", "free", "--direction", "c2m",
+         "--input", path, "--order", "-2"),
+        ("convolve", "--theory", "boolean", "--input", pair, "--order", "-1"),
+        ("volume", "--n", "2", "--input", "bell", "--order", "-1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--order" in err, (argv, err)
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("shape sum went wrong")
+
+    monkeypatch.setattr(cli, "_cmd_transform", broken)
+    code, out, err = run(
+        capsys, "transform", "--theory", "classical", "--direction", "m2c",
+        "--input", "u", "--order", "3",
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: shape sum went wrong\n"
+
+
+def test_failing_check_reports_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "abel_oracle", lambda seq, g, m: Fraction(10**6))
+    code, out, err = run(capsys, "verify", "--suite", "abel", "--n", "3", "--seed", "7")
+    assert code == 1
+    data = json.loads(out)
+    first = data["checks"][0]
+    assert data["first_failure"] == first["name"] == "g=0"
+    assert first["pass"] is False and first["checked"] == 1
+    # c_1 = a_1, the first value drawn from the seed
+    rng = random.Random(7)
+    a_1 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    assert first["counterexample"] == {
+        "seed": 7, "case": 0, "expected": "1000000", "got": str(a_1),
+    }
+
+    monkeypatch.setattr(cli, "moments_via_volume", lambda seq: seq.scaled(2))
+    data = json.loads(run(capsys, "verify", "--suite", "volume", "--n", "2")[1])
+    (check,) = [c for c in data["checks"] if c["name"] == "MOMENTS_VIA_VOLUME"]
+    example = check["counterexample"]
+    assert example["seed"] == 0 and example["case"] == 0
+    assert example["expected"]["order"] == example["got"]["order"] == 8
+    assert example["got"]["values"] == [
+        str(2**k * Fraction(v)) for k, v in enumerate(example["expected"]["values"], start=1)
+    ]
+
+
+def test_lattice_suite_keeps_theorem_counterexamples(capsys, monkeypatch):
+    from cumulants import lattice
+
+    real = lattice.convolve_lattice
+    monkeypatch.setattr(lattice, "convolve_lattice", lambda f, g, n, kind: real(f, g, n, kind) + 1)
+    code, out, err = run(capsys, "verify", "--suite", "lattice", "--n", "3")
+    assert code == 1
+    t1 = json.loads(out)["checks"][0]
+    assert t1["name"] == "T1" and t1["pass"] is False
+    assert t1["counterexample"] == {"m": "1", "composition": "0", "convolution": "1"}

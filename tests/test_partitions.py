@@ -287,3 +287,9 @@ def test_noncrossing_enumeration_matches_filtering():
         noncrossing_partitions(0)
     with pytest.raises(ValueError):
         noncrossing_partitions(13)
+
+
+def test_set_partition_cap_is_eleven():
+    # B_12 = 4,213,597 partitions would need about 2 GiB
+    with pytest.raises(ValueError):
+        set_partitions(12)
