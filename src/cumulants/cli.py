@@ -21,6 +21,7 @@ from .lattice import (
     THEOREM_LIMIT,
     Lattice,
     MultiplicativeFunction,
+    _check,
     _random_sequence,
     convolve_lattice,
     verify_theorem,
@@ -34,7 +35,7 @@ from .parking import (
     volume_bruteforce_symmetric,
     volume_shape_eval,
 )
-from .series import TruncatedSeries, as_fraction
+from .series import TruncatedSeries
 from .transforms import (
     MomentSequence,
     MultiplierSequence,
@@ -269,35 +270,11 @@ def _cmd_volume(args) -> int:
 # verification suites
 
 
-def _check(name: str, pairs, seed: int, **fields) -> dict:
-    """Compare lazily generated (expected, got) pairs up to the first mismatch.
-
-    A failing check carries a counterexample that reproduces it: the
-    suite's seed, the 0-based index of the failing pair and both values.
-    """
-    check = {"name": name, **fields, "pass": True, "checked": 0}
-    for case, (expected, got) in enumerate(pairs):
-        check["checked"] += 1
-        if expected != got:
-            expected, got = (
-                v.to_json() if isinstance(v, MomentSequence) else str(v) for v in (expected, got)
-            )
-            check["pass"] = False
-            check["counterexample"] = dict(seed=seed, case=case, expected=expected, got=got)
-            break
-    return check
-
-
 def _suite_lattice(n: int, seed: int) -> dict:
-    limit = CONVOLVE_LIMITS[Lattice.ALL]
-    if not 1 <= n <= limit:
-        raise UsageError(f"lattice suite supports 1 <= n <= {limit}")
     checks = []
-    theorem_n = min(n, THEOREM_LIMIT)
     for which in ("T1", "T2", "T3", "COMMUTATIVITY"):
-        rep = verify_theorem(theorem_n, which, seed=seed)
-        kept = ("pass", "checked", "counterexample")
-        checks.append({"name": which, "n": theorem_n, **{k: rep[k] for k in kept if k in rep}})
+        report = verify_theorem(min(n, THEOREM_LIMIT), which, seed=seed)
+        checks.append({"name": report.pop("theorem"), **report})
 
     def delta_pairs():
         for k in range(1, n + 1):
@@ -312,8 +289,6 @@ def _suite_lattice(n: int, seed: int) -> dict:
 
 
 def _suite_abel(n: int, seed: int) -> dict:
-    if not 1 <= n <= 6:
-        raise UsageError("abel suite supports 1 <= n <= 6")
     rng = random.Random(seed)
 
     def pairs(g):
@@ -331,8 +306,6 @@ def _suite_abel(n: int, seed: int) -> dict:
 
 
 def _suite_volume(n: int, seed: int) -> dict:
-    if not 1 <= n <= PARKING_LIMIT:
-        raise UsageError(f"volume suite supports 1 <= n <= {PARKING_LIMIT}")
     rng = random.Random(seed)
     count = len(enumerate_parking(n))
     total = math.factorial(n) * volume_bruteforce([1] * n)
@@ -361,8 +334,6 @@ def _suite_volume(n: int, seed: int) -> dict:
 
 
 def _suite_transport(n: int, seed: int) -> dict:
-    if not 1 <= n <= 12:
-        raise UsageError("transport suite supports 1 <= n <= 12")
     rng = random.Random(seed)
 
     def pairs():
@@ -384,8 +355,6 @@ def _suite_transport(n: int, seed: int) -> dict:
 
 
 def _suite_parametrization(n: int, seed: int) -> dict:
-    if not 1 <= n <= 12:
-        raise UsageError("parametrization suite supports 1 <= n <= 12")
     rng = random.Random(seed)
 
     def recursion_pairs():
@@ -411,7 +380,7 @@ def _suite_parametrization(n: int, seed: int) -> dict:
         for _ in range(10):
             a = _random_sequence(rng, n)
             j = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            g = MultiplierSequence.from_values(_random_sequence(rng, n).values)
+            g = _random_sequence(rng, n)
             yield generalized_cumulants(a, g).scaled(j), generalized_cumulants(a.scaled(j), g)
 
     checks = [_check("CLASSICAL_RECURSION", recursion_pairs(), seed)]
@@ -427,11 +396,21 @@ _SUITES = {
     "transport": _suite_transport,
     "parametrization": _suite_parametrization,
 }
+_SUITE_LIMITS = {
+    "lattice": CONVOLVE_LIMITS[Lattice.ALL],
+    "abel": 6,
+    "volume": PARKING_LIMIT,
+    "transport": 12,
+    "parametrization": 12,
+}
 
 
 def _cmd_verify(args) -> int:
     if args.n is None:
         raise UsageError("verify requires --n")
+    limit = _SUITE_LIMITS[args.suite]
+    if not 1 <= args.n <= limit:
+        raise UsageError(f"{args.suite} suite supports 1 <= n <= {limit}")
     report = _SUITES[args.suite](args.n, args.seed)
     report["pass"] = all(check["pass"] for check in report["checks"])
     if not report["pass"]:

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import (
@@ -25,7 +24,6 @@ from .partitions import (
     noncrossing_partitions,
     set_partitions,
 )
-from .series import TruncatedSeries, as_fraction
 from .transforms import (
     MomentSequence,
     free_from_moments,
@@ -37,8 +35,7 @@ CONVOLVE_LIMITS = {Lattice.ALL: 7, Lattice.NC: 7, Lattice.INTERVAL: 12}
 THEOREM_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class MultiplicativeFunction:
+class MultiplicativeFunction(MomentSequence):
     """Multiplicative function determined by its diagonal values f_1..f_N.
 
     On an interval of type (k_1, ..., k_n) the function evaluates to the
@@ -46,22 +43,13 @@ class MultiplicativeFunction:
     determine it everywhere.
     """
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-
-    @classmethod
-    def from_values(cls, values) -> "MultiplicativeFunction":
-        return cls(tuple(values))
-
     @classmethod
     def from_sequence(cls, seq: MomentSequence) -> "MultiplicativeFunction":
         return cls(seq.values)
 
     @classmethod
     def zeta(cls, order: int) -> "MultiplicativeFunction":
-        return cls(tuple(Fraction(1) for _ in range(order)))
+        return cls.constant(1, order)
 
     @classmethod
     def delta(cls, order: int) -> "MultiplicativeFunction":
@@ -77,13 +65,6 @@ class MultiplicativeFunction:
                 for n in range(1, order + 1)
             )
         )
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def f(self, k: int) -> Fraction:
-        return self.values[k - 1]
 
     def on_partition(self, partition: SetPartition) -> Fraction:
         """f_tau = product of f over the block sizes of tau."""
@@ -196,6 +177,25 @@ def _random_sequence(rng: random.Random, order: int) -> MomentSequence:
     )
 
 
+def _check(name: str, pairs, seed: int, **fields) -> dict:
+    """Compare lazily generated (expected, got) pairs up to the first mismatch.
+
+    A failing check carries a counterexample that reproduces it: the
+    seed, the 0-based index of the failing pair and both values.
+    """
+    check = {"name": name, **fields, "pass": True, "checked": 0}
+    for case, (expected, got) in enumerate(pairs):
+        check["checked"] += 1
+        if expected != got:
+            expected, got = (
+                v.to_json() if isinstance(v, MomentSequence) else str(v) for v in (expected, got)
+            )
+            check["pass"] = False
+            check["counterexample"] = dict(seed=seed, case=case, expected=expected, got=got)
+            break
+    return check
+
+
 def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     """Executable checks of the composition/convolution correspondences.
 
@@ -213,33 +213,22 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     if not 1 <= n <= THEOREM_LIMIT:
         raise ValueError(f"theorem checks support 1 <= n <= {THEOREM_LIMIT}")
     rng = random.Random(seed)
-    report: dict = {"theorem": name, "n": n, "pass": True, "checked": 0}
-
-    def fail(**detail):
-        report["pass"] = False
-        report["counterexample"] = {k: str(v) for k, v in detail.items()}
-
     f_seq = _random_sequence(rng, n)
     g_seq = _random_sequence(rng, n)
     f_mf = MultiplicativeFunction.from_sequence(f_seq)
     g_mf = MultiplicativeFunction.from_sequence(g_seq)
 
-    if name in ("T1", "T3"):
-        lattice = Lattice.ALL if name == "T1" else Lattice.INTERVAL
+    def composition_pairs():
         if name == "T1":
-            outer, inner = f_seq.to_egf(), g_seq.to_egf()
+            lattice, outer, inner = Lattice.ALL, f_seq.to_egf(), g_seq.to_egf()
         else:
-            outer, inner = f_seq.to_ogf(), g_seq.to_ogf()
+            lattice, outer, inner = Lattice.INTERVAL, f_seq.to_ogf(), g_seq.to_ogf()
         composed = outer.compose(inner - 1)
         for m in range(1, n + 1):
             scale = math.factorial(m) if name == "T1" else 1
-            lhs = scale * composed.coeffs[m]
-            rhs = convolve_lattice(g_mf, f_mf, m, lattice)
-            report["checked"] += 1
-            if lhs != rhs:
-                fail(m=m, composition=lhs, convolution=rhs)
-                return report
-    elif name == "T2":
+            yield scale * composed.coeffs[m], convolve_lattice(g_mf, f_mf, m, lattice)
+
+    def free_pairs():
         mu_nc = mobius_function(n, Lattice.NC)
         zeta = MultiplicativeFunction.zeta(n)
         moments = _random_sequence(rng, n)
@@ -248,30 +237,15 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
         m_mf = MultiplicativeFunction.from_sequence(moments)
         r_mf = MultiplicativeFunction.from_sequence(cumulants)
         for m in range(1, n + 1):
-            lhs = cumulants.values[m - 1]
-            rhs = convolve_lattice(m_mf, mu_nc, m, Lattice.NC)
-            report["checked"] += 1
-            if lhs != rhs:
-                fail(m=m, transform=lhs, convolution=rhs)
-                return report
-            lhs = back.values[m - 1]
-            rhs = convolve_lattice(r_mf, zeta, m, Lattice.NC)
-            report["checked"] += 1
-            if lhs != rhs:
-                fail(m=m, transform=lhs, convolution=rhs)
-                return report
-        catalan = named_sequence("catalan", n)
-        ones = named_sequence("u", n)
-        report["checked"] += 1
-        if free_from_moments(catalan) != ones:
-            fail(m=n, note="catalan free cumulants are not all ones")
-            return report
-    else:  # COMMUTATIVITY
+            yield cumulants.moment(m), convolve_lattice(m_mf, mu_nc, m, Lattice.NC)
+            yield back.moment(m), convolve_lattice(r_mf, zeta, m, Lattice.NC)
+        yield named_sequence("u", n), free_from_moments(named_sequence("catalan", n))
+
+    def commutativity_pairs():
         for m in range(1, n + 1):
-            lhs = convolve_lattice(f_mf, g_mf, m, Lattice.NC)
-            rhs = convolve_lattice(g_mf, f_mf, m, Lattice.NC)
-            report["checked"] += 1
-            if lhs != rhs:
-                fail(m=m, forward=lhs, reversed=rhs)
-                return report
-    return report
+            forward = convolve_lattice(f_mf, g_mf, m, Lattice.NC)
+            yield forward, convolve_lattice(g_mf, f_mf, m, Lattice.NC)
+
+    pairs = {"T2": free_pairs, "COMMUTATIVITY": commutativity_pairs}.get(name, composition_pairs)
+    check = _check(name, pairs(), seed, n=n)
+    return {"theorem": check.pop("name"), **check}

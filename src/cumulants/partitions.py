@@ -151,8 +151,10 @@ def single_block(n: int) -> SetPartition:
     return SetPartition.from_blocks(n, [list(range(1, n + 1))])
 
 
-@functools.lru_cache(maxsize=None)
-def _set_partitions(n: int) -> tuple[SetPartition, ...]:
+def set_partitions(n: int) -> list[SetPartition]:
+    """All set partitions of [n] in restricted-growth-string order."""
+    if not 1 <= n <= SET_PARTITION_LIMIT:
+        raise ValueError(f"set partition enumeration supports 1 <= n <= {SET_PARTITION_LIMIT}")
     results = []
     rgs = [0] * n
 
@@ -168,14 +170,7 @@ def _set_partitions(n: int) -> tuple[SetPartition, ...]:
             rec(i + 1, max(maxval, v))
 
     rec(1, 0)
-    return tuple(results)
-
-
-def set_partitions(n: int) -> list[SetPartition]:
-    """All set partitions of [n] in restricted-growth-string order."""
-    if not 1 <= n <= SET_PARTITION_LIMIT:
-        raise ValueError(f"set partition enumeration supports 1 <= n <= {SET_PARTITION_LIMIT}")
-    return list(_set_partitions(n))
+    return results
 
 
 def is_noncrossing(partition: SetPartition) -> bool:
@@ -194,8 +189,16 @@ def is_noncrossing(partition: SetPartition) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _noncrossing_partitions(n: int) -> tuple[SetPartition, ...]:
+def noncrossing_partitions(n: int) -> list[SetPartition]:
+    """All noncrossing partitions of [n] in restricted-growth-string order.
+
+    Generated directly, so the cost follows the Catalan number, not the
+    Bell number.
+    """
+    if not 1 <= n <= NONCROSSING_PARTITION_LIMIT:
+        raise ValueError(
+            f"noncrossing enumeration supports 1 <= n <= {NONCROSSING_PARTITION_LIMIT}"
+        )
     results = []
     blocks: list[list[int]] = []
 
@@ -219,20 +222,7 @@ def _noncrossing_partitions(n: int) -> tuple[SetPartition, ...]:
         blocks.pop()
 
     rec(1, [])
-    return tuple(results)
-
-
-def noncrossing_partitions(n: int) -> list[SetPartition]:
-    """All noncrossing partitions of [n] in restricted-growth-string order.
-
-    Generated directly, so the cost follows the Catalan number, not the
-    Bell number.
-    """
-    if not 1 <= n <= NONCROSSING_PARTITION_LIMIT:
-        raise ValueError(
-            f"noncrossing enumeration supports 1 <= n <= {NONCROSSING_PARTITION_LIMIT}"
-        )
-    return list(_noncrossing_partitions(n))
+    return results
 
 
 def is_interval(partition: SetPartition) -> bool:
@@ -240,8 +230,11 @@ def is_interval(partition: SetPartition) -> bool:
     return all(b[-1] - b[0] + 1 == len(b) for b in partition.blocks)
 
 
-@functools.lru_cache(maxsize=None)
-def _interval_partitions(n: int) -> tuple[SetPartition, ...]:
+def interval_partitions(n: int) -> list[SetPartition]:
+    if not 1 <= n <= INTERVAL_PARTITION_LIMIT:
+        raise ValueError(
+            f"interval partition enumeration supports 1 <= n <= {INTERVAL_PARTITION_LIMIT}"
+        )
     out = []
 
     def rec(start, acc):
@@ -252,15 +245,7 @@ def _interval_partitions(n: int) -> tuple[SetPartition, ...]:
             rec(start + size, acc + [list(range(start, start + size))])
 
     rec(1, [])
-    return tuple(out)
-
-
-def interval_partitions(n: int) -> list[SetPartition]:
-    if not 1 <= n <= INTERVAL_PARTITION_LIMIT:
-        raise ValueError(
-            f"interval partition enumeration supports 1 <= n <= {INTERVAL_PARTITION_LIMIT}"
-        )
-    return list(_interval_partitions(n))
+    return out
 
 
 def leq_refinement(sigma: SetPartition, pi: SetPartition) -> bool:

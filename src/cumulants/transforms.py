@@ -29,7 +29,11 @@ from .series import TruncatedSeries, as_fraction, exact_values
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Exact values a_1..a_N of a sequence, with a_0 = 1 left implicit."""
+    """Exact values a_1..a_N of a sequence, with a_0 = 1 left implicit.
+
+    The one exact-sequence type: moments, cumulants and the multipliers
+    g of the unified family are all stored this way.
+    """
 
     values: tuple[Fraction, ...]
 
@@ -40,6 +44,15 @@ class MomentSequence:
     def from_values(cls, values) -> "MomentSequence":
         return cls(tuple(values))
 
+    @classmethod
+    def constant(cls, value, order: int) -> "MomentSequence":
+        return cls(tuple([as_fraction(value)] * order))
+
+    @classmethod
+    def index(cls, order: int) -> "MomentSequence":
+        """a_n = n, the free-cumulant multiplier."""
+        return cls(tuple(Fraction(k) for k in range(1, order + 1)))
+
     @property
     def order(self) -> int:
         return len(self.values)
@@ -49,6 +62,8 @@ class MomentSequence:
         if k == 0:
             return Fraction(1)
         return self.values[k - 1]
+
+    g = f = moment  # read as multipliers g_n or multiplicative-function values f_n
 
     def bar(self) -> "MomentSequence":
         """Factorial rescaling a_n -> n! a_n (read the EGF as an OGF)."""
@@ -117,34 +132,8 @@ class MomentSequence:
         return cls(tuple(values))
 
 
-@dataclass(frozen=True)
-class MultiplierSequence:
-    """Per-degree multipliers g_1..g_N for the unified cumulant family."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-
-    @classmethod
-    def from_values(cls, values) -> "MultiplierSequence":
-        return cls(tuple(values))
-
-    @classmethod
-    def constant(cls, g, order: int) -> "MultiplierSequence":
-        return cls(tuple([as_fraction(g)] * order))
-
-    @classmethod
-    def index(cls, order: int) -> "MultiplierSequence":
-        """g_n = n, the free-cumulant multiplier."""
-        return cls(tuple(Fraction(k) for k in range(1, order + 1)))
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def g(self, n: int) -> Fraction:
-        return self.values[n - 1]
+# per-degree multipliers g_1..g_N of the unified cumulant family
+MultiplierSequence = MomentSequence
 
 
 def _bell_numbers(count: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
@@ -335,6 +336,17 @@ def test_volume_cap(capsys, tmp_path):
 # verify
 
 
+# SHA-256 of each suite's stdout, fixed when the suites were last
+# refactored; any change to a suite's output bytes shows up here
+VERIFY_DIGESTS = {
+    "lattice": "8f82b35239e6688770a2ce7cfb8b9ee6e083a6339994f062deca74ee139b6deb",
+    "abel": "db8f341b293a9a74d073fc09696b88b0904dc1bb6f49c0c8afa661e9dc65db21",
+    "volume": "8b8a3fa99967ef8aa8262a4d8fb06a5e5448ef5c09fb75ad57a3edd4754b86ee",
+    "transport": "8e020242b9fd7330b625e5f07916454494569d962f976fb7e80fa9d194b993ba",
+    "parametrization": "883030c5336cd40fa7f2f71dd8829ecb18ee6bc566bf1ef1cbc6926b0f6e223c",
+}
+
+
 def test_verify_suites_pass(capsys):
     for suite, n in [
         ("lattice", 4),
@@ -343,12 +355,25 @@ def test_verify_suites_pass(capsys):
         ("transport", 8),
         ("parametrization", 7),
     ]:
-        data = run_json(capsys, "verify", "--suite", suite, "--n", str(n))
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
+        assert code == 0 and err == ""
+        data = json.loads(out)
         assert data["suite"] == suite
         assert data["pass"] is True
         assert data["checks"]
         assert all(check["pass"] for check in data["checks"])
         assert "first_failure" not in data
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
+def test_verify_range_is_checked_before_the_suite_runs(capsys, monkeypatch):
+    limits = {"lattice": 7, "abel": 6, "volume": 7, "transport": 12, "parametrization": 12}
+    for suite, limit in limits.items():
+        monkeypatch.setitem(cli._SUITES, suite, None)  # never called
+        for n in (0, limit + 1):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
+            assert (code, out) == (2, "")
+            assert err == f"error: {suite} suite supports 1 <= n <= {limit}\n"
 
 
 def test_verify_exit_codes(capsys):
@@ -467,13 +492,18 @@ def test_failing_check_reports_counterexample(capsys, monkeypatch):
     ]
 
 
-def test_lattice_suite_keeps_theorem_counterexamples(capsys, monkeypatch):
+@pytest.mark.parametrize("which", ["T1", "T2", "T3"])
+def test_lattice_suite_keeps_theorem_counterexamples(capsys, monkeypatch, which):
     from cumulants import lattice
 
     real = lattice.convolve_lattice
     monkeypatch.setattr(lattice, "convolve_lattice", lambda f, g, n, kind: real(f, g, n, kind) + 1)
     code, out, err = run(capsys, "verify", "--suite", "lattice", "--n", "3")
     assert code == 1
-    t1 = json.loads(out)["checks"][0]
-    assert t1["name"] == "T1" and t1["pass"] is False
-    assert t1["counterexample"] == {"m": "1", "composition": "0", "convolution": "1"}
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == which)
+    assert check["pass"] is False
+    # the first pair already fails: the degree-1 composition coefficient 0
+    # for T1 and T3, the first free cumulant of seed 0's moments (1) for T2
+    expected = {"T1": "0", "T2": "1", "T3": "0"}[which]
+    got = str(int(expected) + 1)
+    assert check["counterexample"] == {"seed": 0, "case": 0, "expected": expected, "got": got}

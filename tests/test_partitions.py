@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +297,22 @@ def test_set_partition_cap_is_eleven():
     # B_12 = 4,213,597 partitions would need about 2 GiB
     with pytest.raises(ValueError):
         set_partitions(12)
+
+
+def test_enumerations_are_not_kept_after_use():
+    # a fresh interpreter, so no earlier test has filled a cache
+    script = (
+        "import gc, tracemalloc\n"
+        "from cumulants.partitions import set_partitions, noncrossing_partitions, interval_partitions\n"
+        "tracemalloc.start()\n"
+        "for fn, n in ((set_partitions, 8), (noncrossing_partitions, 9), (interval_partitions, 10)):\n"
+        "    fn(n)\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert int(done.stdout) < 512 * 1024

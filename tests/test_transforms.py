@@ -112,6 +112,19 @@ def test_multiplier_sequence():
     assert MultiplierSequence.from_values(["1/2", 3]).g(1) == Fraction(1, 2)
 
 
+def test_any_exact_sequence_serves_as_multipliers():
+    # named_sequence("uD", n) is the sequence 1..n, the same values as
+    # MultiplierSequence.index(n), and the one sequence type reads as g
+    rng = random.Random(18)
+    for n in (1, 4, 9):
+        a = random_seq(rng, n)
+        named, index = named_sequence("uD", n), MultiplierSequence.index(n)
+        assert generalized_cumulants(a, named) == generalized_cumulants(a, index)
+        assert moments_from_generalized(a, named) == moments_from_generalized(a, index)
+        assert [named.g(k) for k in range(1, n + 1)] == list(index.values)
+        assert named == index
+
+
 def test_named_sequences():
     assert named_sequence("u", 4) == seq(1, 1, 1, 1)
     assert named_sequence("chi", 4) == seq(1, 0, 0, 0)
