@@ -190,7 +190,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_matrix(args) -> int:
     if not 1 <= args.nmax <= 12 or not 1 <= args.kmax <= 12:
         raise UsageError("--nmax and --kmax must lie in 1..12")
-    seq = _load_moments(args.input, args.order or args.nmax)
+    seq = _load_moments(args.input, args.nmax if args.order is None else args.order)
     if seq.order < args.nmax:
         raise UsageError(f"input order {seq.order} is below --nmax {args.nmax}")
     matrix = cumulant_matrix(seq, args.nmax, args.kmax)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -36,18 +35,63 @@ def falling_factorial(x, k: int):
     return result
 
 
-@dataclass(frozen=True)
-class IntegerPartition:
+# bound once: each value type's __init__ sets its fields through it, past
+# Frozen.__setattr__, without looking up object.__setattr__ on every call
+_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types: fields are set once, in ``__init__``.
+
+    Each subclass names its fields in FIELDS and writes its own
+    ``__init__``, ``__eq__`` (same class only) and ``__hash__`` (the hash
+    of the tuple of fields).  Those run inside the enumeration and
+    lattice loops, so they read the fields by name: a generic key built
+    from FIELDS made ``SetPartition`` hashing about 4x and equality about
+    10x slower.  The classes do not use ``dataclasses``, whose import
+    pulls in ``inspect``, ``ast`` and ``dis`` and costs every CLI start-up
+    about 15 ms.
+    """
+
+    __slots__ = ()  # so that a subclass with __slots__ has no __dict__
+    FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return type(self), tuple(getattr(self, name) for name in self.FIELDS)
+
+
+class IntegerPartition(Frozen):
     """Nonincreasing positive parts; the shape of a set partition."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
+    FIELDS = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
+        if any(not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be nonincreasing")
+        _setattr(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -103,12 +147,22 @@ def d_lambda(shape: IntegerPartition) -> int:
     return math.factorial(shape.n) // (shape.parts_factorial * shape.mult_factorial)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(Frozen):
     """Partition of {1..n} into disjoint blocks, stored canonically."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    FIELDS = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "SetPartition":
@@ -260,11 +314,21 @@ def leq_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IntervalType:
+class IntervalType(Frozen):
     """k_i = number of pi-blocks that are unions of exactly i sigma-blocks."""
 
-    k: tuple[int, ...]
+    FIELDS = ("k",)
+
+    def __init__(self, k: tuple[int, ...]):
+        _setattr(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.k == other.k
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k,))
 
 
 def interval_type(sigma: SetPartition, pi: SetPartition) -> IntervalType:

@@ -20,25 +20,31 @@ general family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import d_lambda, falling_factorial, integer_partitions
+from .partitions import Frozen, _setattr, d_lambda, falling_factorial, integer_partitions
 from .series import TruncatedSeries, as_fraction, exact_values
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Frozen):
     """Exact values a_1..a_N of a sequence, with a_0 = 1 left implicit.
 
     The one exact-sequence type: moments, cumulants and the multipliers
     g of the unified family are all stored this way.
     """
 
-    values: tuple[Fraction, ...]
+    FIELDS = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+    def __init__(self, values: tuple[Fraction, ...]):
+        _setattr(self, "values", tuple(as_fraction(v) for v in values))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values,))
 
     @classmethod
     def from_values(cls, values) -> "MomentSequence":
@@ -402,11 +408,21 @@ def abel_copy_oracle(moments: MomentSequence, k: int, n: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class CumulantMatrix:
+class CumulantMatrix(Frozen):
     """Rows n = 1..nmax, columns k = 1..kmax of constant-multiplier cumulants."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    FIELDS = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
+        _setattr(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def rows(self) -> int:

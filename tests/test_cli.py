@@ -237,6 +237,15 @@ def test_matrix_bounds(capsys):
     assert code == 2 and out == ""
 
 
+def test_matrix_order_zero_is_not_ignored(capsys, monkeypatch):
+    argv = ("matrix", "--nmax", "3", "--kmax", "2", "--order", "0", "--input")
+    code, out, err = run(capsys, *argv, "u")
+    assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(1, 2, 3))))
+    code, out, err = run(capsys, *argv, "-")
+    assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")
+
+
 # ---------------------------------------------------------------------------
 # series
 
