@@ -35,7 +35,7 @@ from .parking import (
     volume_bruteforce_symmetric,
     volume_shape_eval,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, as_fraction
 from .transforms import (
     MomentSequence,
     MultiplierSequence,
@@ -120,13 +120,13 @@ def _parse_g(spec: str, order: int) -> MultiplierSequence:
         return MultiplierSequence.index(order)
     try:
         if "," in spec:
-            values = [Fraction(part.strip()) for part in spec.split(",")]
+            values = [as_fraction(part.strip()) for part in spec.split(",")]
             if len(values) != order:
                 raise UsageError(
                     f"--g lists {len(values)} values but the order is {order}"
                 )
             return MultiplierSequence.from_values(values)
-        return MultiplierSequence.constant(Fraction(spec), order)
+        return MultiplierSequence.constant(as_fraction(spec), order)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse --g {spec!r}: {exc}") from exc
 

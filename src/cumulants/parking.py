@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .partitions import IntegerPartition, falling_factorial
 from .series import as_fraction
-from .transforms import MomentSequence, _shape_sum, free_from_moments
+from .transforms import MomentSequence, _free_weight, _shape_sum, free_from_moments
 
 PARKING_LIMIT = 7
 
@@ -124,18 +124,15 @@ def volume_shape_eval(seq: MomentSequence, n: int) -> Fraction:
 
     V_n = sum over shapes lambda of n of (1/lambda!) (n)_(l-1) / m(lambda)!
     times the monomial of shape lambda; symmetric substitution sends that
-    monomial to the product of sequence entries over the parts.
+    monomial to the product of sequence entries over the parts.  Since
+    d_lambda = n! / (lambda! m(lambda)!), that is sum_l (n)_(l-1)/n! B_{n,l}.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if seq.order < n:
         raise ValueError(f"sequence must provide entries up to {n}")
     return _shape_sum(
-        seq.values,
-        n,
-        lambda shape: Fraction(
-            falling_factorial(n, shape.length - 1), shape.parts_factorial * shape.mult_factorial
-        ),
+        seq.values, n, lambda n, l: Fraction(falling_factorial(n, l - 1), math.factorial(n))
     )
 
 
@@ -143,18 +140,14 @@ def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
     """One-per-orbit polynomial evaluated at free cumulants gives moments.
 
     R_n = sum over shapes of (n)_(l-1) / m(lambda)! times one orbit
-    representative monomial; at a free cumulant sequence this reproduces
-    the n-th moment.
+    representative monomial, the ordinary row weighted like moments_from_free;
+    at a free cumulant sequence this reproduces the n-th moment.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if cumulants.order < n:
         raise ValueError(f"sequence must provide entries up to {n}")
-    return _shape_sum(
-        cumulants.values,
-        n,
-        lambda shape: Fraction(falling_factorial(n, shape.length - 1), shape.mult_factorial),
-    )
+    return _shape_sum(cumulants.values, n, _free_weight, ordinary=True)
 
 
 def moments_via_volume(moments: MomentSequence) -> MomentSequence:

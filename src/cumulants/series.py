@@ -10,6 +10,7 @@ and reversion.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -17,7 +18,19 @@ def as_fraction(value) -> Fraction:
     """Coerce int, str or Fraction to Fraction; floats and bools are refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, str):
+        # Fraction("1e20000000") builds 10**20000000 before any size check, so an
+        # exponent is held to the int<->str digit limit that a plain numeral meets
+        mantissa, e, exponent = value.lower().partition("e")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            power = int(exponent) if e and limit else 0
+        except ValueError:  # malformed, or itself too long: Fraction reports it
+            power = 0
+        if power and abs(power) + sum(ch.isdigit() for ch in mantissa) > limit:
+            raise ValueError(f"exponent {power} writes out past {limit} digits")
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot use {value!r} as an exact coefficient")
 

@@ -1,14 +1,31 @@
 """Moment/cumulant transforms: classical, boolean, free, and the unified family.
 
-All four moment-to-cumulant maps are instances of one partition sum
+Every partition sum here is one weighted row of a partial Bell polynomial
+(Comtet, Advanced Combinatorics, 3.3):
 
-    c_n = sum over shapes lambda of n:  d_lambda * (-g_n)_(len(lambda)-1) * a_lambda
+    c_n = sum_l w(n, l) B_{n,l}(a),   B_{n,l}(a) = sum over shapes lambda of n
+                                                   with l parts of s(lambda) a_lambda
 
-where d_lambda counts set partitions of shape lambda, (x)_k is the falling
-factorial and a_lambda is the product of moments over the parts.  The
-multiplier sequence g selects the family: g == 1 gives classical cumulants,
-g == 2 on factorially rescaled ("barred") sequences gives boolean cumulants,
-g_n == n on barred sequences gives free cumulants.
+where a_lambda is the product of the sequence over the parts, and s(lambda)
+is d_lambda, the set partitions of that shape (the exponential row), or
+l!/m(lambda)!, its compositions or interval partitions (the ordinary row, B^ord).
+Only _bell_row enumerates shapes; each map fixes a row and a weight of n, l:
+
+    exponential  (-1)^(l-1) (l-1)!   classical_from_moments
+                 1                   moments_from_classical
+                 (-g_n)_(l-1)        generalized_cumulants and its inverse, cumulant_matrix
+                 g_l / g_(l)         umbral_composition egf / dot_operation
+                 (n)_(l-1) / n!      parking.volume_shape_eval
+    ordinary     (-1)^(l-1)          boolean_from_moments
+                 (-n)_(l-1) / l!     free_from_moments
+                 (n)_(l-1) / l!      moments_from_free, parking.orbit_moment_eval
+                 g_l                 umbral_composition ogf
+
+So the complete Bell polynomial and the Pitman-Stanley volume polynomial are
+the same exponential row, weighted by w = 1 and by w = (n)_(l-1)/n!.  In the
+unified family, g == 1 gives classical cumulants, g == 2 on factorially
+rescaled ("barred") sequences boolean ones, g_n == n on barred sequences
+free ones.
 
 Each closed form ships with an independent generating-function oracle:
 log/exp of the exponential generating function for the classical pair,
@@ -182,25 +199,28 @@ def _check_orders(a, b) -> None:
         raise ValueError(f"sequence order mismatch: {a.order} != {b.order}")
 
 
-def _shape_sum(values, n: int, weight) -> Fraction:
-    """sum over shapes lambda of n of weight(lambda) * prod_parts values[part - 1].
-
-    The one loop behind every partition-sum formula; each theory passes
-    its own weight.
-    """
-    total = Fraction(0)
+def _bell_row(values, n: int, ordinary: bool) -> list[Fraction]:
+    """B_{n,0..n}(values), exponential or ordinary: the one loop over the shapes of n."""
+    row = [Fraction(0)] * (n + 1)
     for shape in integer_partitions(n):
-        term = weight(shape)
-        for part in shape.parts:
+        parts = shape.parts
+        term = math.factorial(len(parts)) // shape.mult_factorial if ordinary else d_lambda(shape)
+        for part in parts:
             term *= values[part - 1]
-        total += term
-    return total
+        row[len(parts)] += term
+    return row
 
 
-def _shape_sums(seq: MomentSequence, weight) -> MomentSequence:
+def _shape_sum(values, n: int, weight, ordinary: bool = False) -> Fraction:
+    """sum_l weight(n, l) * B_{n,l}(values): every partition-sum formula."""
+    row = _bell_row(values, n, ordinary)
+    return sum((weight(n, l) * row[l] for l in range(1, n + 1)), Fraction(0))
+
+
+def _shape_sums(seq: MomentSequence, weight, ordinary: bool = False) -> MomentSequence:
     """The shape sums of seq at every degree 1..N."""
     return MomentSequence(
-        tuple(_shape_sum(seq.values, n, weight) for n in range(1, seq.order + 1))
+        tuple(_shape_sum(seq.values, n, weight, ordinary) for n in range(1, seq.order + 1))
     )
 
 
@@ -214,18 +234,13 @@ def _elementwise_sum(a: MomentSequence, b: MomentSequence) -> MomentSequence:
 
 
 def classical_from_moments(moments: MomentSequence) -> MomentSequence:
-    """c_n = sum_lambda d_lambda (-1)^(l-1) (l-1)! a_lambda."""
-
-    def weight(shape):
-        length = shape.length
-        return d_lambda(shape) * (-1) ** (length - 1) * math.factorial(length - 1)
-
-    return _shape_sums(moments, weight)
+    """c_n = sum_l (-1)^(l-1) (l-1)! B_{n,l}(a)."""
+    return _shape_sums(moments, lambda n, l: (-1) ** (l - 1) * math.factorial(l - 1))
 
 
 def moments_from_classical(cumulants: MomentSequence) -> MomentSequence:
-    """a_n = sum_lambda d_lambda c_lambda (complete Bell polynomial)."""
-    return _shape_sums(cumulants, d_lambda)
+    """a_n = sum_l B_{n,l}(c), the complete Bell polynomial."""
+    return _shape_sums(cumulants, lambda n, l: 1)
 
 
 def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
@@ -241,13 +256,8 @@ def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
 
 
 def boolean_from_moments(moments: MomentSequence) -> MomentSequence:
-    """h_n = sum_lambda (l! / m(lambda)!) (-1)^(l-1) a_lambda."""
-
-    def weight(shape):
-        length = shape.length
-        return Fraction(math.factorial(length) * (-1) ** (length - 1), shape.mult_factorial)
-
-    return _shape_sums(moments, weight)
+    """h_n = sum_l (-1)^(l-1) B^ord_{n,l}(a)."""
+    return _shape_sums(moments, lambda n, l: (-1) ** (l - 1), ordinary=True)
 
 
 def moments_from_boolean(cumulants: MomentSequence) -> MomentSequence:
@@ -271,22 +281,19 @@ def boolean_from_moments_series(moments: MomentSequence) -> MomentSequence:
 # free pair
 
 
+def _free_weight(n: int, l: int) -> Fraction:
+    """(n)_(l-1) / l! on the ordinary row; at -n it maps moments to free cumulants."""
+    return Fraction(falling_factorial(n, l - 1), math.factorial(l))
+
+
 def free_from_moments(moments: MomentSequence) -> MomentSequence:
-    """r_n = sum_lambda (-n)_(l-1) a_lambda / m(lambda)!."""
-
-    def weight(shape):
-        return Fraction(falling_factorial(-shape.n, shape.length - 1), shape.mult_factorial)
-
-    return _shape_sums(moments, weight)
+    """r_n = sum_l (-n)_(l-1) / l! B^ord_{n,l}(a)."""
+    return _shape_sums(moments, lambda n, l: _free_weight(-n, l), ordinary=True)
 
 
 def moments_from_free(cumulants: MomentSequence) -> MomentSequence:
-    """a_n = sum_lambda (n)_(l-1) r_lambda / m(lambda)!."""
-
-    def weight(shape):
-        return Fraction(falling_factorial(shape.n, shape.length - 1), shape.mult_factorial)
-
-    return _shape_sums(cumulants, weight)
+    """a_n = sum_l (n)_(l-1) / l! B^ord_{n,l}(r)."""
+    return _shape_sums(cumulants, _free_weight, ordinary=True)
 
 
 def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
@@ -305,16 +312,14 @@ def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
 
 
 def _generalized_weight(multipliers: MultiplierSequence):
-    """Shape weight d_lambda (-g_n)_(l-1) of the unified family at degree n."""
-    return lambda shape: d_lambda(shape) * falling_factorial(
-        -multipliers.g(shape.n), shape.length - 1
-    )
+    """Weight (-g_n)_(l-1) of the unified family on the exponential row."""
+    return lambda n, l: falling_factorial(-multipliers.g(n), l - 1)
 
 
 def generalized_cumulants(
     moments: MomentSequence, multipliers: MultiplierSequence
 ) -> MomentSequence:
-    """c_n = sum_lambda d_lambda (-g_n)_(l-1) a_lambda."""
+    """c_n = sum_l (-g_n)_(l-1) B_{n,l}(a)."""
     _check_orders(moments, multipliers)
     return _shape_sums(moments, _generalized_weight(multipliers))
 
@@ -324,9 +329,9 @@ def moments_from_generalized(
 ) -> MomentSequence:
     """Inverse of generalized_cumulants by the triangular recursion.
 
-    The shape (n) contributes a_n with coefficient 1, every other shape
-    involves lower moments only, so a_n is c_n minus the degree-n sum
-    taken with a_n = 0.
+    B_{n,1}(a) = a_n enters with weight 1 and B_{n,l} for l >= 2 involves
+    lower moments only, so a_n is c_n minus the degree-n sum taken with
+    a_n = 0.
     """
     _check_orders(cumulants, multipliers)
     weight = _generalized_weight(multipliers)
@@ -452,15 +457,14 @@ def cumulant_matrix(moments: MomentSequence, nmax: int, kmax: int) -> CumulantMa
         raise ValueError(f"nmax must lie in 1..{moments.order}")
     if kmax < 1:
         raise ValueError("kmax must be positive")
-    head = moments.truncated(nmax)
-    columns = [
-        generalized_cumulants(head, MultiplierSequence.constant(k, nmax)).values
-        for k in range(1, kmax + 1)
-    ]
-    rows = tuple(
-        tuple(columns[k][n] for k in range(kmax)) for n in range(nmax)
-    )
-    return CumulantMatrix(rows)
+    rows = []
+    for n in range(1, nmax + 1):
+        row = _bell_row(moments.values, n, ordinary=False)  # one row serves every k
+        rows.append(tuple(
+            sum((falling_factorial(-k, l - 1) * row[l] for l in range(1, n + 1)), Fraction(0))
+            for k in range(1, kmax + 1)
+        ))
+    return CumulantMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +524,17 @@ def boolean_free_transport(moments: MomentSequence) -> MomentSequence:
 def umbral_composition(
     outer: MomentSequence, inner: MomentSequence, flavor: str
 ) -> MomentSequence:
-    """Composition h_n = sum_lambda w_lambda g_{l(lambda)} a_lambda.
+    """Composition h_n = sum_l g_l B_{n,l}(a).
 
-    flavor 'egf' weights shapes by d_lambda and matches substitution of
-    exponential generating functions; flavor 'ogf' weights by l!/m(lambda)!
+    flavor 'egf' takes the exponential row and matches substitution of
+    exponential generating functions; flavor 'ogf' takes the ordinary row
     and matches substitution of ordinary generating functions.
     """
     _check_orders(outer, inner)
     kind = flavor.lower()
     if kind not in ("egf", "ogf"):
         raise ValueError(f"flavor must be 'egf' or 'ogf', got {flavor!r}")
-
-    def weight(shape):
-        if kind == "egf":
-            count = Fraction(d_lambda(shape))
-        else:
-            count = Fraction(math.factorial(shape.length), shape.mult_factorial)
-        return count * outer.values[shape.length - 1]
-
-    return _shape_sums(inner, weight)
+    return _shape_sums(inner, lambda n, l: outer.values[l - 1], ordinary=kind == "ogf")
 
 
 def _stirling_first(nmax: int) -> list[list[int]]:
@@ -565,15 +561,11 @@ def factorial_moments(moments: MomentSequence) -> MomentSequence:
 def dot_operation(
     multiplier_moments: MomentSequence, moments: MomentSequence
 ) -> MomentSequence:
-    """Moments of the dot product: sum_lambda d_lambda g_(l) a_lambda.
+    """Moments of the dot product: sum_l g_(l) B_{n,l}(a).
 
     g_(l) are the factorial moments of the first argument.  On generating
     functions this is f_g applied to log of the moment EGF.
     """
     _check_orders(multiplier_moments, moments)
     fact = factorial_moments(multiplier_moments).values
-
-    def weight(shape):
-        return d_lambda(shape) * fact[shape.length - 1]
-
-    return _shape_sums(moments, weight)
+    return _shape_sums(moments, lambda n, l: fact[l - 1])

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,33 @@ def test_transform_rejects_json_booleans(capsys, tmp_path):
             "--input", path,
         )
         assert code == 2 and out == "" and field in err, (payload, err)
+
+
+@pytest.mark.parametrize("huge", ["1e20000000", "1e-20000000", "1e5000"])
+def test_exponent_past_the_digit_limit_is_a_usage_error(capsys, monkeypatch, huge):
+    # Fraction would build 10**exponent first; a plain numeral that long is refused
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"order": 1, "values": [huge]})))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "transform", "--theory", "classical", "--direction", "m2c")
+    assert code == 2 and out == "" and "sequence 'values'" in err, err
+    code, out, err = run(
+        capsys, "transform", "--theory", "abel", "--direction", "m2c",
+        "--g", huge, "--input", "u", "--order", "2",
+    )
+    assert code == 2 and out == "" and "--g" in err, err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text, value, c_2", [("1e3", "1000", "-999"), ("2.5", "5/2", "-3/2")])
+def test_exponent_and_decimal_notation_are_accepted(capsys, monkeypatch, text, value, c_2):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"order": 1, "values": [text]})))
+    data = run_json(capsys, "transform", "--theory", "classical", "--direction", "c2m")
+    assert data == {"order": 1, "values": [value]}
+    data = run_json(
+        capsys, "transform", "--theory", "abel", "--direction", "m2c",
+        "--g", text, "--input", "u", "--order", "2",
+    )
+    assert data == {"order": 2, "values": ["1", c_2]}
 
 
 # ---------------------------------------------------------------------------

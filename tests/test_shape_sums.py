@@ -4,6 +4,11 @@ Every transform below sums over integer partitions with a weight that
 counts the set partitions of each shape.  Here the same quantity is summed
 over the set partitions themselves, one term per lattice element, so no
 integer partition and no shape weight enters the reference side.
+
+The transforms group that sum by block count, as sum_l w(n, l) B_{n,l}.
+The per-shape weights they were written with before the grouping are
+summed here over integer partitions as a second reference, and the
+grouped rows are checked against closed forms that enumerate no shape.
 """
 
 from __future__ import annotations
@@ -14,16 +19,28 @@ from fractions import Fraction
 
 import pytest
 
-from cumulants.parking import orbit_moment_eval
-from cumulants.partitions import interval_partitions, noncrossing_partitions, set_partitions
+from cumulants.parking import orbit_moment_eval, volume_shape_eval
+from cumulants.partitions import (
+    d_lambda,
+    integer_partitions,
+    interval_partitions,
+    noncrossing_partitions,
+    set_partitions,
+)
 from cumulants.transforms import (
     MomentSequence,
     MultiplierSequence,
+    _bell_row,
+    boolean_from_moments,
+    classical_from_moments,
+    cumulant_matrix,
     dot_operation,
     factorial_moments,
+    free_from_moments,
     generalized_cumulants,
     moments_from_classical,
     moments_from_free,
+    moments_from_generalized,
     umbral_composition,
 )
 
@@ -101,3 +118,100 @@ def test_dot_operation_sums_over_all_partitions(seed):
         set_partitions, lambda pi: fact[pi.length - 1] * block_product(a.values, pi)
     )
     assert dot_operation(g, a).values == expected
+
+
+# ---------------------------------------------------------------------------
+# per-shape weights summed over integer partitions
+
+REF_N = 12
+
+
+def shape_sums(values, weight, nmax=REF_N):
+    """sum over shapes lambda of n of weight(lambda) * values_lambda, n = 1..nmax."""
+    return tuple(
+        sum(
+            weight(lam) * math.prod((values[p - 1] for p in lam.parts), start=Fraction(1))
+            for lam in integer_partitions(n)
+        )
+        for n in range(1, nmax + 1)
+    )
+
+
+def compositions(lam):
+    """l!/m(lambda)!: the compositions, or interval partitions, of shape lambda."""
+    return Fraction(math.factorial(lam.length), lam.mult_factorial)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grouped_sums_equal_the_per_shape_formulas(seed):
+    rng = random.Random(seed)
+    a, g = random_sequence(rng, REF_N), random_sequence(rng, REF_N)
+    fact = factorial_moments(g).values
+    cases = [
+        (classical_from_moments(a),
+         lambda lam: d_lambda(lam) * (-1) ** (lam.length - 1) * math.factorial(lam.length - 1)),
+        (moments_from_classical(a), d_lambda),
+        (boolean_from_moments(a), lambda lam: compositions(lam) * (-1) ** (lam.length - 1)),
+        (free_from_moments(a),
+         lambda lam: Fraction(falling(-lam.n, lam.length - 1), lam.mult_factorial)),
+        (moments_from_free(a),
+         lambda lam: Fraction(falling(lam.n, lam.length - 1), lam.mult_factorial)),
+        (generalized_cumulants(a, g),
+         lambda lam: d_lambda(lam) * falling(-g.g(lam.n), lam.length - 1)),
+        (umbral_composition(g, a, "egf"), lambda lam: d_lambda(lam) * g.g(lam.length)),
+        (umbral_composition(g, a, "ogf"), lambda lam: compositions(lam) * g.g(lam.length)),
+        (dot_operation(g, a), lambda lam: d_lambda(lam) * fact[lam.length - 1]),
+    ]
+    for i, (got, weight) in enumerate(cases):
+        assert got.values == shape_sums(a.values, weight), i
+    orbit = tuple(orbit_moment_eval(a, n) for n in range(1, REF_N + 1))
+    assert orbit == moments_from_free(a).values
+    volume = tuple(volume_shape_eval(a, n) for n in range(1, REF_N + 1))
+    assert volume == shape_sums(
+        a.values,
+        lambda lam: Fraction(
+            falling(lam.n, lam.length - 1), lam.parts_factorial * lam.mult_factorial
+        ),
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generalized_inverse_round_trips(seed):
+    rng = random.Random(seed)
+    a, g = random_sequence(rng, REF_N), random_sequence(rng, REF_N)
+    assert moments_from_generalized(generalized_cumulants(a, g), g) == a
+    assert generalized_cumulants(moments_from_generalized(a, g), g) == a
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cumulant_matrix_entries_equal_the_per_shape_formula(seed):
+    a = random_sequence(random.Random(seed), REF_N)
+    kmax = 4
+    matrix = cumulant_matrix(a, REF_N, kmax)
+    for k in range(1, kmax + 1):
+        column = shape_sums(a.values, lambda lam: d_lambda(lam) * falling(-k, lam.length - 1))
+        for n in range(1, REF_N + 1):
+            assert matrix.entry(n, k) == column[n - 1], (n, k)
+
+
+# ---------------------------------------------------------------------------
+# grouped rows against closed forms
+
+
+def test_exponential_row_at_ones_is_stirling_second_kind():
+    # S(n, l) = l S(n-1, l) + S(n-1, l-1), S(0, 0) = 1
+    ones = [Fraction(1)] * 15
+    stirling = [1]
+    for n in range(1, 16):
+        stirling = [
+            (l * stirling[l] if l < n else 0) + (stirling[l - 1] if l >= 1 else 0)
+            for l in range(n + 1)
+        ]
+        assert _bell_row(ones, n, False) == stirling, n
+
+
+def test_ordinary_row_at_ones_is_binomial():
+    ones = [Fraction(1)] * 15
+    for n in range(1, 16):
+        expected = [0] + [math.comb(n - 1, l - 1) for l in range(1, n + 1)]
+        assert _bell_row(ones, n, True) == expected, n
