@@ -23,39 +23,48 @@ PARKING_LIMIT = 7
 def is_parking(entries) -> bool:
     """True when the nondecreasing rearrangement satisfies p_(j) <= j."""
     seq = list(entries)
-    if any(not isinstance(p, int) or p < 1 for p in seq):
+    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in seq):
         return False
     return all(p <= j for j, p in enumerate(sorted(seq), start=1))
 
 
 @functools.lru_cache(maxsize=None)
 def _parking_functions(n: int) -> tuple[tuple[int, ...], ...]:
+    # A prefix with `left` slots still open can be completed iff
+    # f(j) = #{entries <= j} - j >= -left for every j.  f starts at 0 and
+    # falls by at most 1 per step, so the values that may come next are
+    # exactly 1..vmax, where vmax is the first j with f(j) = -left
+    # (f(n) = -left always).  The last two entries are emitted in bulk.
     out = []
     counts = [0] * (n + 1)
-    prefix: list[int] = []
+    tails = [[(w,) for w in range(1, m + 1)] for m in range(n + 1)]
 
-    def feasible(placed: int) -> bool:
-        # every value class j still needs #{p_i <= j} >= j achievable
+    def first_at(level: int) -> int:
         running = 0
-        for j in range(1, n + 1):
+        for j in range(1, n):
             running += counts[j]
-            if running + (n - placed) < j:
-                return False
-        return True
+            if running - j == level:
+                return j
+        return n
 
-    def rec(placed: int) -> None:
-        if placed == n:
-            out.append(tuple(prefix))
+    def rec(prefix: tuple[int, ...], left: int) -> None:
+        vmax = first_at(-left)
+        if left == 1:
+            out.extend(map(prefix.__add__, tails[vmax]))
             return
-        for v in range(1, n + 1):
+        if left == 2:
+            # after v, the last entry may go up to vmax while v <= a, the
+            # first j with f(j) = -1, and up to a once v passes it
+            a = first_at(-1)
+            for v in range(1, vmax + 1):
+                out.extend(map((prefix + (v,)).__add__, tails[vmax if v <= a else a]))
+            return
+        for v in range(1, vmax + 1):
             counts[v] += 1
-            prefix.append(v)
-            if feasible(placed + 1):
-                rec(placed + 1)
-            prefix.pop()
+            rec(prefix + (v,), left - 1)
             counts[v] -= 1
 
-    rec(0)
+    rec((), n)
     return tuple(out)
 
 
@@ -82,18 +91,19 @@ def orbit_size(shape: IntegerPartition) -> int:
 
 
 def volume_bruteforce(xs) -> Fraction:
-    """V_n(x) = (1/n!) sum over parking functions of x_{p_1} ... x_{p_n}."""
+    """V_n(x) = (1/n!) sum over parking functions of x_{p_1} ... x_{p_n}.
+
+    Each term has degree n, so the sum runs on the integers d x_j, d the
+    common denominator, and is divided by d^n n! once at the end.
+    """
     values = [as_fraction(x) for x in xs]
     n = len(values)
     if not 1 <= n <= PARKING_LIMIT:
         raise ValueError(f"brute-force volume supports 1 <= n <= {PARKING_LIMIT}")
-    total = Fraction(0)
-    for p in _parking_functions(n):
-        term = Fraction(1)
-        for v in p:
-            term *= values[v - 1]
-        total += term
-    return total / math.factorial(n)
+    d = math.lcm(*(x.denominator for x in values))
+    scaled = [0] + [x.numerator * (d // x.denominator) for x in values]
+    total = sum(math.prod(map(scaled.__getitem__, p)) for p in _parking_functions(n))
+    return Fraction(total, d**n * math.factorial(n))
 
 
 def volume_bruteforce_symmetric(seq: MomentSequence, n: int) -> Fraction:
@@ -101,22 +111,27 @@ def volume_bruteforce_symmetric(seq: MomentSequence, n: int) -> Fraction:
 
     Powers of one variable collapse to a single entry indexed by the
     multiplicity, so each parking function contributes the product of
-    entries over its value multiplicities.
+    entries over its value multiplicities.  The multiplicities sum to n,
+    so the sum runs on the integers d^m a_m, d the common denominator of
+    a_1..a_n, and is divided by d^n n! once at the end.
     """
     if not 1 <= n <= PARKING_LIMIT:
         raise ValueError(f"brute-force volume supports 1 <= n <= {PARKING_LIMIT}")
     if seq.order < n:
         raise ValueError(f"sequence must provide entries up to {n}")
-    total = Fraction(0)
+    entries = [seq.moment(m) for m in range(1, n + 1)]
+    d = math.lcm(*(a.denominator for a in entries))
+    scaled = [0] + [a.numerator * (d**m // a.denominator) for m, a in enumerate(entries, 1)]
+    total = 0
     for p in _parking_functions(n):
         mult: dict[int, int] = {}
         for v in p:
             mult[v] = mult.get(v, 0) + 1
-        term = Fraction(1)
+        term = 1
         for m in mult.values():
-            term *= seq.moment(m)
+            term *= scaled[m]
         total += term
-    return total / math.factorial(n)
+    return Fraction(total, d**n * math.factorial(n))
 
 
 def volume_shape_eval(seq: MomentSequence, n: int) -> Fraction:

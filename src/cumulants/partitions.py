@@ -1,7 +1,9 @@
 """Integer partitions, set partitions, and the three partition lattices.
 
 Set partitions are kept canonical (blocks sorted internally and by least
-element) so they hash and compare structurally.  Enumeration orders are
+element) so they hash and compare structurally.  The enumerations build
+their blocks canonical; ``SetPartition.from_blocks`` is the validating
+constructor for outside input.  Enumeration orders are
 fixed: restricted growth strings for set partitions, reverse
 lexicographic for integer partitions, and first-block-size order for the
 compositions backing interval partitions.
@@ -14,7 +16,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-# B_11 = 678,570 set partitions take 8-10 s and 354 MiB; the 208,012
+# B_11 = 678,570 set partitions take 3.5-3.7 s and 343 MiB; the 208,012
 # noncrossing partitions of 12 take 1.5 s and 133 MiB
 SET_PARTITION_LIMIT = 11
 NONCROSSING_PARTITION_LIMIT = 12
@@ -166,6 +168,7 @@ class SetPartition(Frozen):
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "SetPartition":
+        """Sort and check blocks from outside; they must partition 1..n."""
         cleaned = []
         for block in blocks:
             b = tuple(sorted(block))
@@ -210,20 +213,24 @@ def set_partitions(n: int) -> list[SetPartition]:
     if not 1 <= n <= SET_PARTITION_LIMIT:
         raise ValueError(f"set partition enumeration supports 1 <= n <= {SET_PARTITION_LIMIT}")
     results = []
-    rgs = [0] * n
+    blocks: list[list[int]] = []
 
-    def rec(i, maxval):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
-            for idx, v in enumerate(rgs):
-                blocks[v].append(idx + 1)
-            results.append(SetPartition.from_blocks(n, blocks))
+    # element i joins each open block in turn, then a new one: growth-string
+    # order.  Elements arrive increasing, so blocks come out sorted and
+    # ordered by least element, canonical as built
+    def rec(i):
+        if i > n:
+            results.append(SetPartition(n, tuple(map(tuple, blocks))))
             return
-        for v in range(maxval + 2):
-            rgs[i] = v
-            rec(i + 1, max(maxval, v))
+        for b in blocks:
+            b.append(i)
+            rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        rec(i + 1)
+        blocks.pop()
 
-    rec(1, 0)
+    rec(1)
     return results
 
 
@@ -291,14 +298,15 @@ def interval_partitions(n: int) -> list[SetPartition]:
         )
     out = []
 
+    # runs of consecutive integers, left to right: canonical as built
     def rec(start, acc):
         if start > n:
-            out.append(SetPartition.from_blocks(n, list(acc)))
+            out.append(SetPartition(n, acc))
             return
         for size in range(1, n - start + 2):
-            rec(start + size, acc + [list(range(start, start + size))])
+            rec(start + size, acc + (tuple(range(start, start + size)),))
 
-    rec(1, [])
+    rec(1, ())
     return out
 
 

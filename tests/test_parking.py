@@ -53,6 +53,23 @@ def test_is_parking():
         assert is_parking(perm)
 
 
+def test_booleans_are_not_parking_entries():
+    assert not is_parking([True])
+    assert not is_parking((1, True))
+    assert not is_parking((False, 1))
+    assert is_parking((1,))
+    with pytest.raises(ValueError):
+        parking_type((True, 1))
+
+
+def test_enumeration_is_the_filtered_product():
+    # the literal definition: every word over 1..n that parks, in
+    # lexicographic order
+    for n in range(1, 7):
+        words = itertools.product(range(1, n + 1), repeat=n)
+        assert enumerate_parking(n) == [p for p in words if is_parking(p)]
+
+
 def test_enumeration_counts_and_order():
     for n in range(1, 8):
         assert len(enumerate_parking(n)) == (n + 1) ** (n - 1)
@@ -121,6 +138,58 @@ def test_volume_at_ones_counts_parking_functions():
     for n in range(1, 8):
         total = math.factorial(n) * volume_bruteforce([1] * n)
         assert total == (n + 1) ** (n - 1)
+
+
+def fraction_volume(xs):
+    # the literal sum over parking functions in Fraction arithmetic
+    n = len(xs)
+    total = Fraction(0)
+    for p in enumerate_parking(n):
+        term = Fraction(1)
+        for v in p:
+            term *= xs[v - 1]
+        total += term
+    return total / math.factorial(n)
+
+
+def fraction_volume_symmetric(seq, n):
+    total = Fraction(0)
+    for p in enumerate_parking(n):
+        mult: dict[int, int] = {}
+        for v in p:
+            mult[v] = mult.get(v, 0) + 1
+        term = Fraction(1)
+        for m in mult.values():
+            term *= seq.moment(m)
+        total += term
+    return total / math.factorial(n)
+
+
+def coprime_denominators(rng, count, digits=40):
+    out = []
+    while len(out) < count:
+        q = rng.randrange(10 ** (digits - 1), 10**digits)
+        if all(math.gcd(q, other) == 1 for other in out):
+            out.append(q)
+    return out
+
+
+def test_integer_volume_sums_equal_the_fraction_sums():
+    # the Fraction reference takes about 0.5 s on one small and 1.5 s on
+    # one wide input at n = 6, so that size runs for the first seed only
+    for seed in range(3):
+        rng = random.Random(seed)
+        for n in range(1, 7 if seed == 0 else 6):
+            small = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n)]
+            small[rng.randrange(n)] = Fraction(0)
+            wide = [
+                Fraction(rng.randrange(-(10**40), 10**40), q)
+                for q in coprime_denominators(rng, n)
+            ]
+            for xs in (small, wide):
+                assert volume_bruteforce(xs) == fraction_volume(xs)
+                seq = MomentSequence.from_values(xs)
+                assert volume_bruteforce_symmetric(seq, n) == fraction_volume_symmetric(seq, n)
 
 
 def test_shape_expansion_matches_bruteforce():

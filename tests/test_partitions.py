@@ -108,6 +108,41 @@ def test_set_partitions_counts_and_order():
         set_partitions(13)
 
 
+def restricted_growth_partitions(n):
+    # every string r with r_1 = 0 and r_i <= 1 + max(r_1..r_(i-1)), in
+    # lexicographic order, read as the partition with blocks {i : r_i = k}
+    strings = [[0]]
+    for _ in range(n - 1):
+        strings = [r + [v] for r in strings for v in range(max(r) + 2)]
+    out = []
+    for r in strings:
+        blocks = [[i + 1 for i in range(n) if r[i] == k] for k in range(max(r) + 1)]
+        out.append(SetPartition.from_blocks(n, blocks))
+    return out
+
+
+def test_enumerations_are_canonical_and_in_growth_string_order():
+    for n in range(1, 9):
+        reference = restricted_growth_partitions(n)
+        every = set_partitions(n)
+        intervals = interval_partitions(n)
+        assert every == reference
+        # first-block-size order is the reverse of growth-string order
+        assert intervals == [p for p in reversed(reference) if is_interval(p)]
+        for listed in (every, intervals):
+            assert len(set(listed)) == len(listed)
+            for p in listed:
+                checked = SetPartition.from_blocks(n, p.blocks)
+                assert checked == p and hash(checked) == hash(p)
+    bell = [1]
+    for n in range(1, 10):
+        count = len(set_partitions(n))
+        assert count == sum(math.comb(n - 1, k) * bell[k] for k in range(n))
+        bell.append(count)
+    for n in range(1, 15):
+        assert len(interval_partitions(n)) == 2 ** (n - 1)
+
+
 def test_shape():
     assert sp(4, [1, 2], [3, 4]).shape() == IntegerPartition((2, 2))
     assert sp(5, [1, 3, 5], [2], [4]).shape() == IntegerPartition((3, 1, 1))
