@@ -248,7 +248,7 @@ VOLUME_LIMIT = 24
 
 def _cmd_volume(args) -> int:
     n = args.n
-    if n is None or not 1 <= n <= VOLUME_LIMIT:
+    if not 1 <= n <= VOLUME_LIMIT:
         raise UsageError(f"volume supports 1 <= --n <= {VOLUME_LIMIT}")
     seq = (
         named_sequence("u", n)
@@ -406,8 +406,6 @@ _SUITE_LIMITS = {
 
 
 def _cmd_verify(args) -> int:
-    if args.n is None:
-        raise UsageError("verify requires --n")
     limit = _SUITE_LIMITS[args.suite]
     if not 1 <= args.n <= limit:
         raise UsageError(f"{args.suite} suite supports 1 <= n <= {limit}")

@@ -16,6 +16,8 @@ import math
 from enum import Enum
 from fractions import Fraction
 
+from .series import Frozen, _setattr
+
 # B_11 = 678,570 set partitions take 3.5-3.7 s and 343 MiB; the 208,012
 # noncrossing partitions of 12 take 1.5 s and 133 MiB
 SET_PARTITION_LIMIT = 11
@@ -37,42 +39,6 @@ def falling_factorial(x, k: int):
     return result
 
 
-# bound once: each value type's __init__ sets its fields through it, past
-# Frozen.__setattr__, without looking up object.__setattr__ on every call
-_setattr = object.__setattr__
-
-
-class Frozen:
-    """Base of the immutable value types: fields are set once, in ``__init__``.
-
-    Each subclass names its fields in FIELDS and writes its own
-    ``__init__``, ``__eq__`` (same class only) and ``__hash__`` (the hash
-    of the tuple of fields).  Those run inside the enumeration and
-    lattice loops, so they read the fields by name: a generic key built
-    from FIELDS made ``SetPartition`` hashing about 4x and equality about
-    10x slower.  The classes do not use ``dataclasses``, whose import
-    pulls in ``inspect``, ``ast`` and ``dis`` and costs every CLI start-up
-    about 15 ms.
-    """
-
-    __slots__ = ()  # so that a subclass with __slots__ has no __dict__
-    FIELDS: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, since __setattr__ refuses
-        return type(self), tuple(getattr(self, name) for name in self.FIELDS)
-
-
 class IntegerPartition(Frozen):
     """Nonincreasing positive parts; the shape of a set partition."""
 
@@ -81,19 +47,11 @@ class IntegerPartition(Frozen):
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be nonincreasing")
         _setattr(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -158,14 +116,6 @@ class SetPartition(Frozen):
         _setattr(self, "n", n)
         _setattr(self, "blocks", blocks)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "SetPartition":
         """Sort and check blocks from outside; they must partition 1..n."""
@@ -177,7 +127,9 @@ class SetPartition(Frozen):
             cleaned.append(b)
         cleaned.sort(key=lambda b: b[0])
         seen = sorted(x for b in cleaned for x in b)
-        if seen != list(range(1, n + 1)):
+        if seen != list(range(1, n + 1)) or any(
+            not isinstance(x, int) or isinstance(x, bool) for x in seen
+        ):
             raise ValueError(f"blocks do not partition 1..{n}")
         return cls(n, tuple(cleaned))
 
@@ -330,14 +282,6 @@ class IntervalType(Frozen):
     def __init__(self, k: tuple[int, ...]):
         _setattr(self, "k", k)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.k == other.k
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.k,))
-
 
 def interval_type(sigma: SetPartition, pi: SetPartition) -> IntervalType:
     if sigma.n != pi.n:
@@ -376,6 +320,8 @@ def kreweras_complement(partition: SetPartition) -> SetPartition:
     image = [0] + pred[2:] + [pred[1]]
     seen = [False] * (n + 1)
     cycles = []
+    # each cycle is found from its least element, so the sorted cycles come
+    # out ordered by least element: canonical as built
     for start in range(1, n + 1):
         cycle = []
         x = start
@@ -384,10 +330,10 @@ def kreweras_complement(partition: SetPartition) -> SetPartition:
             cycle.append(x)
             x = image[x]
         if cycle:
-            cycles.append(cycle)
+            cycles.append(tuple(sorted(cycle)))
     if partition.length + len(cycles) != n + 1:
         raise ValueError("Kreweras complement is defined for noncrossing partitions only")
-    return SetPartition.from_blocks(n, cycles)
+    return SetPartition(n, tuple(cycles))
 
 
 def count_by_shape(shape: IntegerPartition, lattice: Lattice) -> Fraction:

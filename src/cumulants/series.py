@@ -35,25 +35,80 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {value!r} as an exact coefficient")
 
 
-def exact_values(raw, field: str) -> list[Fraction]:
-    """The entries of a JSON list as Fractions; errors name the field."""
+def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
+    """The integer 'order' and the exact entries under key of a JSON object.
+
+    Errors name the kind of object and the key; the caller checks the count.
+    """
+    try:
+        order, raw = data["order"], data[key]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{kind} JSON needs 'order' and '{key}': {exc}") from exc
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"{kind} 'order' must be an integer, not {order!r}")
+    field = f"{kind} '{key}'"
     if not isinstance(raw, list):
         raise ValueError(f"{field} must be a JSON array")
     try:
-        return [as_fraction(v) for v in raw]
+        return order, [as_fraction(v) for v in raw]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{field}: {exc}") from exc
 
 
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a power series truncated at t^N.
+# bound once: each value type's __init__ sets its fields through it, past
+# Frozen.__setattr__, without looking up object.__setattr__ on every call
+_setattr = object.__setattr__
 
-    Instances are treated as immutable: coefficients live in a tuple and
-    all operations return new series.  Missing trailing coefficients in
-    the constructor are padded with zeros.
+
+class Frozen:
+    """Base of the immutable value types: fields are set once, in ``__init__``.
+
+    Each subclass names its fields in FIELDS and writes ``__init__`` only
+    to check or coerce them, setting each through ``_setattr``.  Equality
+    (same class only), the hash, the repr and pickling all read the tuple
+    of fields.  The classes do not use ``dataclasses``, whose import pulls
+    in ``inspect``, ``ast`` and ``dis`` and costs every CLI start-up about
+    15 ms.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()  # so that a subclass with __slots__ has no __dict__
+    FIELDS: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return type(self), self._fields()
+
+
+class TruncatedSeries(Frozen):
+    """Coefficients c_0..c_N of a power series truncated at t^N.
+
+    Immutable: coefficients live in a tuple and all operations return new
+    series.  Missing trailing coefficients in the constructor are padded
+    with zeros.
+    """
+
+    __slots__ = FIELDS = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
         if order < 0:
@@ -64,8 +119,8 @@ class TruncatedSeries:
                 f"got {len(cs)} coefficients for truncation order {order}"
             )
         cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self.order = order
-        self.coeffs = tuple(cs)
+        _setattr(self, "order", order)
+        _setattr(self, "coeffs", tuple(cs))
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
@@ -78,16 +133,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.order}, {[str(c) for c in self.coeffs]})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def _same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -250,14 +295,7 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
-        try:
-            order = data["order"]
-            raw = data["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"series JSON needs 'order' and 'coeffs': {exc}") from exc
-        if not isinstance(order, int) or isinstance(order, bool):
-            raise ValueError(f"series 'order' must be an integer, not {order!r}")
-        coeffs = exact_values(raw, "series 'coeffs'")
+        order, coeffs = exact_json(data, "series", "coeffs")
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"coefficient count {len(coeffs)} does not match order {order}"

@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import Frozen, _setattr, d_lambda, falling_factorial, integer_partitions
-from .series import TruncatedSeries, as_fraction, exact_values
+from .partitions import d_lambda, falling_factorial, integer_partitions
+from .series import Frozen, TruncatedSeries, _setattr, as_fraction, exact_json
 
 
 class MomentSequence(Frozen):
@@ -54,14 +54,6 @@ class MomentSequence(Frozen):
 
     def __init__(self, values: tuple[Fraction, ...]):
         _setattr(self, "values", tuple(as_fraction(v) for v in values))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.values,))
 
     @classmethod
     def from_values(cls, values) -> "MomentSequence":
@@ -142,14 +134,7 @@ class MomentSequence(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "MomentSequence":
-        try:
-            order = data["order"]
-            raw = data["values"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"sequence JSON needs 'order' and 'values': {exc}") from exc
-        if not isinstance(order, int) or isinstance(order, bool):
-            raise ValueError(f"sequence 'order' must be an integer, not {order!r}")
-        values = exact_values(raw, "sequence 'values'")
+        order, values = exact_json(data, "sequence", "values")
         if len(values) != order:
             raise ValueError(f"value count {len(values)} does not match order {order}")
         return cls(tuple(values))
@@ -420,14 +405,6 @@ class CumulantMatrix(Frozen):
 
     def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
         _setattr(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
 
     @property
     def rows(self) -> int:

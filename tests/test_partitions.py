@@ -96,6 +96,15 @@ def test_set_partition_canonical_form():
         SetPartition.from_blocks(2, [[1, 2], []])
 
 
+def test_booleans_and_floats_are_not_parts_or_elements():
+    for parts in ((True,), (2, True), (1.0,)):
+        with pytest.raises(ValueError, match="^parts must be positive integers$"):
+            IntegerPartition(parts)
+    for blocks in ([[True, 2]], [[2], [True]], [[1.0, 2]]):
+        with pytest.raises(ValueError, match="^blocks do not partition 1..2$"):
+            SetPartition.from_blocks(2, blocks)
+
+
 def test_set_partitions_counts_and_order():
     for n in range(1, 9):
         assert len(set_partitions(n)) == BELL[n - 1]
@@ -287,6 +296,13 @@ def test_kreweras_matches_search():
     for n in range(1, 7):
         for p in noncrossing_partitions(n):
             assert kreweras_complement(p) == _kreweras_by_search(p)
+
+
+def test_kreweras_blocks_are_canonical():
+    for n in range(1, 9):
+        for p in noncrossing_partitions(n):
+            k = kreweras_complement(p)
+            assert k == SetPartition.from_blocks(n, k.blocks)
 
 
 def test_kreweras_rejects_exactly_the_crossing_partitions():

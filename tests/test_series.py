@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cumulants.series import TruncatedSeries, as_fraction
+from cumulants.transforms import MomentSequence
 
 
 def F(x) -> Fraction:
@@ -229,3 +230,29 @@ def test_booleans_are_not_exact_values():
         TruncatedSeries.from_json({"order": True, "coeffs": ["0", "1"]})
     with pytest.raises(ValueError, match="'coeffs'"):
         TruncatedSeries.from_json({"order": 1, "coeffs": [False, True]})
+
+
+# the full text of each JSON reader's error, on the same five faults
+JSON_ERRORS = [
+    (TruncatedSeries, {"order": 1}, "series JSON needs 'order' and 'coeffs': 'coeffs'"),
+    (TruncatedSeries, {"order": True, "coeffs": ["0", "1"]},
+     "series 'order' must be an integer, not True"),
+    (TruncatedSeries, {"order": 1, "coeffs": "01"}, "series 'coeffs' must be a JSON array"),
+    (TruncatedSeries, {"order": 1, "coeffs": ["0", 0.5]},
+     "series 'coeffs': cannot use 0.5 as an exact coefficient"),
+    (TruncatedSeries, {"order": 3, "coeffs": ["1"]}, "coefficient count 1 does not match order 3"),
+    (MomentSequence, {"order": 1}, "sequence JSON needs 'order' and 'values': 'values'"),
+    (MomentSequence, {"order": True, "values": ["1"]},
+     "sequence 'order' must be an integer, not True"),
+    (MomentSequence, {"order": 1, "values": "1"}, "sequence 'values' must be a JSON array"),
+    (MomentSequence, {"order": 1, "values": [0.5]},
+     "sequence 'values': cannot use 0.5 as an exact coefficient"),
+    (MomentSequence, {"order": 3, "values": ["1"]}, "value count 1 does not match order 3"),
+]
+
+
+@pytest.mark.parametrize("cls, data, text", JSON_ERRORS)
+def test_json_error_messages(cls, data, text):
+    with pytest.raises(ValueError) as caught:
+        cls.from_json(data)
+    assert str(caught.value) == text

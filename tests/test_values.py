@@ -1,4 +1,5 @@
-"""The immutable value types: equality, hashing, immutability, repr, pickling, start-up."""
+"""The immutable value types: equality, hashing, immutability, repr, pickling, start-up,
+and the benchmark's traced methods."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 
 from cumulants.lattice import MultiplicativeFunction
 from cumulants.partitions import IntegerPartition, IntervalType, SetPartition
+from cumulants.series import TruncatedSeries
 from cumulants.transforms import CumulantMatrix, MomentSequence
 
 HALF = (Fraction(1), Fraction(1, 2))
@@ -30,6 +32,7 @@ CASES = [
         (HALF,),
         "MultiplicativeFunction(values=(Fraction(1, 1), Fraction(1, 2)))",
     ),
+    (TruncatedSeries, (1, HALF), "TruncatedSeries(1, ['1', '1/2'])"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -100,3 +103,24 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == ""
+
+
+def test_every_traced_name_resolves():
+    # a fresh interpreter, since install patches the package's modules
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import cumulants.cli\n"
+        f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+        "import tracing\n"
+        "print(tracing.install(tracing.Tracer()), "
+        "sum(len(names) for names in tracing.TRACED.values()))\n"
+    )
+    env = dict(
+        os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    wrapped, listed = map(int, done.stdout.split())
+    assert wrapped == listed > 0
