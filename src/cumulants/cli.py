@@ -77,7 +77,7 @@ def _read_input(spec: str) -> str:
 def _parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also the digit limit and deep nesting
         raise UsageError(f"malformed JSON input: {exc}") from exc
 
 
@@ -131,8 +131,17 @@ def _parse_g(spec: str, order: int) -> MultiplierSequence:
         raise UsageError(f"cannot parse --g {spec!r}: {exc}") from exc
 
 
-def _emit(obj, path: str) -> None:
-    text = json.dumps(obj) + "\n"
+def _emit(result, path: str) -> None:
+    """Write a value type, or a dict of exact values, as one line of JSON.
+
+    Only here are exact values written out as text, where one can pass the
+    int<->str digit limit: that is an input-size error, not an internal one.
+    """
+    try:
+        obj = result if isinstance(result, dict) else result.to_json()
+        text = json.dumps(obj, default=str) + "\n"
+    except ValueError as exc:
+        raise UsageError(f"result too large to write out: {exc}") from exc
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -144,46 +153,48 @@ def _emit(obj, path: str) -> None:
 # commands
 
 
-def _cmd_transform(args) -> int:
-    seq = _load_moments(args.input, args.order)
+def _multipliers(args, order: int) -> tuple:
+    """The multipliers that follow the input: (g,) for theory 'abel', () otherwise."""
     if args.theory == "abel":
         if args.g is None:
             raise UsageError("theory 'abel' requires --g")
-        g = _parse_g(args.g, seq.order)
-        fn = generalized_cumulants if args.direction == "m2c" else moments_from_generalized
-        result = fn(seq, g)
-    else:
-        if args.g is not None:
-            raise UsageError(f"theory {args.theory!r} does not take --g")
-        table = {
-            ("classical", "m2c"): classical_from_moments,
-            ("classical", "c2m"): moments_from_classical,
-            ("boolean", "m2c"): boolean_from_moments,
-            ("boolean", "c2m"): moments_from_boolean,
-            ("free", "m2c"): free_from_moments,
-            ("free", "c2m"): moments_from_free,
-        }
-        result = table[(args.theory, args.direction)](seq)
-    _emit(result.to_json(), args.output)
+        return (_parse_g(args.g, order),)
+    if args.g is not None:
+        raise UsageError(f"theory {args.theory!r} does not take --g")
+    return ()
+
+
+# the tables below are built on every call, so that they hold whatever the
+# module names are bound to then (a tracer replaces them with wrappers)
+
+
+def _cmd_transform(args) -> int:
+    seq = _load_moments(args.input, args.order)
+    g = _multipliers(args, seq.order)
+    table = {
+        ("classical", "m2c"): classical_from_moments,
+        ("classical", "c2m"): moments_from_classical,
+        ("boolean", "m2c"): boolean_from_moments,
+        ("boolean", "c2m"): moments_from_boolean,
+        ("free", "m2c"): free_from_moments,
+        ("free", "c2m"): moments_from_free,
+        ("abel", "m2c"): generalized_cumulants,
+        ("abel", "c2m"): moments_from_generalized,
+    }
+    _emit(table[args.theory, args.direction](seq, *g), args.output)
     return 0
 
 
 def _cmd_convolve(args) -> int:
     a, b = _load_moment_pair(args.input, args.order)
-    if args.theory == "abel":
-        if args.g is None:
-            raise UsageError("theory 'abel' requires --g")
-        result = gamma_convolve(a, b, _parse_g(args.g, a.order))
-    else:
-        if args.g is not None:
-            raise UsageError(f"theory {args.theory!r} does not take --g")
-        table = {
-            "classical": classical_convolve,
-            "boolean": boolean_convolve,
-            "free": free_convolve,
-        }
-        result = table[args.theory](a, b)
-    _emit(result.to_json(), args.output)
+    g = _multipliers(args, a.order)
+    table = {
+        "classical": classical_convolve,
+        "boolean": boolean_convolve,
+        "free": free_convolve,
+        "abel": gamma_convolve,
+    }
+    _emit(table[args.theory](a, b, *g), args.output)
     return 0
 
 
@@ -193,8 +204,7 @@ def _cmd_matrix(args) -> int:
     seq = _load_moments(args.input, args.nmax if args.order is None else args.order)
     if seq.order < args.nmax:
         raise UsageError(f"input order {seq.order} is below --nmax {args.nmax}")
-    matrix = cumulant_matrix(seq, args.nmax, args.kmax)
-    _emit(matrix.to_json(), args.output)
+    _emit(cumulant_matrix(seq, args.nmax, args.kmax), args.output)
     return 0
 
 
@@ -237,7 +247,7 @@ def _cmd_series(args) -> int:
             }[args.op]()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(result.to_json(), args.output)
+    _emit(result, args.output)
     return 0
 
 
@@ -259,8 +269,8 @@ def _cmd_volume(args) -> int:
         raise UsageError(f"input order {seq.order} is below --n {n}")
     report = {
         "n": n,
-        "shape_volumes": [str(volume_shape_eval(seq, k)) for k in range(1, n + 1)],
-        "orbit_moments": [str(orbit_moment_eval(seq, k)) for k in range(1, n + 1)],
+        "shape_volumes": [volume_shape_eval(seq, k) for k in range(1, n + 1)],
+        "orbit_moments": [orbit_moment_eval(seq, k) for k in range(1, n + 1)],
     }
     _emit(report, args.output)
     return 0

@@ -9,7 +9,6 @@ and reversion.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 
@@ -275,20 +274,6 @@ class TruncatedSeries(Frozen):
         return (self.log() * e).exp()
 
     __pow__ = power
-
-    def egf_to_ogf(self) -> "TruncatedSeries":
-        """Reread coefficients: c_n -> n! c_n."""
-        return TruncatedSeries(
-            self.order,
-            [math.factorial(k) * c for k, c in enumerate(self.coeffs)],
-        )
-
-    def ogf_to_egf(self) -> "TruncatedSeries":
-        """Reread coefficients: c_n -> c_n / n!."""
-        return TruncatedSeries(
-            self.order,
-            [c / math.factorial(k) for k, c in enumerate(self.coeffs)],
-        )
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}

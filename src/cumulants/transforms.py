@@ -29,8 +29,8 @@ free ones.
 
 Each closed form ships with an independent generating-function oracle:
 log/exp of the exponential generating function for the classical pair,
-reciprocal of the ordinary generating function for the boolean pair, a
-fixed-point iteration for the free pair, and two evaluation routes for the
+reciprocal of the ordinary generating function for the boolean pair,
+series reversion for the free pair, and two evaluation routes for the
 general family.
 """
 
@@ -209,11 +209,6 @@ def _shape_sums(seq: MomentSequence, weight, ordinary: bool = False) -> MomentSe
     )
 
 
-def _elementwise_sum(a: MomentSequence, b: MomentSequence) -> MomentSequence:
-    _check_orders(a, b)
-    return MomentSequence(tuple(x + y for x, y in zip(a.values, b.values)))
-
-
 # ---------------------------------------------------------------------------
 # classical pair
 
@@ -246,12 +241,8 @@ def boolean_from_moments(moments: MomentSequence) -> MomentSequence:
 
 
 def moments_from_boolean(cumulants: MomentSequence) -> MomentSequence:
-    # M = 1 + H M, i.e. m_n = sum_k h_k m_{n-k}
-    h = cumulants.values
-    m = [Fraction(1)]
-    for n in range(1, len(h) + 1):
-        m.append(sum(h[k - 1] * m[n - k] for k in range(1, n + 1)))
-    return MomentSequence(tuple(m[1:]))
+    """M = 1 / (1 - H) on ordinary generating functions, with 1 - H = 2 - (1 + H)."""
+    return MomentSequence.from_ogf((2 - cumulants.to_ogf()).reciprocal())
 
 
 def boolean_from_moments_series(moments: MomentSequence) -> MomentSequence:
@@ -282,14 +273,14 @@ def moments_from_free(cumulants: MomentSequence) -> MomentSequence:
 
 
 def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
-    """Oracle: the moment OGF is the fixed point of M(t) = R(t M(t))."""
-    n = cumulants.order
-    big_r = cumulants.to_ogf()
-    t = TruncatedSeries.identity(n)
-    m = TruncatedSeries.constant(1, n)
-    for _ in range(n):
-        m = big_r.compose(t * m)
-    return MomentSequence(m.coeffs[1:])
+    """Oracle by Lagrange inversion (Stanley, EC2, 5.4).
+
+    The moment OGF solves M(t) = R(t M(t)), so w = t M(t) solves w = t R(w):
+    it is the compositional inverse of t / R(t), and m_n = w_(n+1).
+    """
+    inverse_r = cumulants.to_ogf().reciprocal()
+    w = TruncatedSeries(cumulants.order + 1, (0,) + inverse_r.coeffs).revert()
+    return MomentSequence(w.coeffs[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -448,39 +439,31 @@ def cumulant_matrix(moments: MomentSequence, nmax: int, kmax: int) -> CumulantMa
 # convolutions
 
 
+def _convolve(a: MomentSequence, b: MomentSequence, forward, back, *g) -> MomentSequence:
+    """back(forward(a) + forward(b)): each family's cumulants linearize its convolution."""
+    _check_orders(a, b)
+    x, y = forward(a, *g), forward(b, *g)
+    return back(MomentSequence(tuple(p + q for p, q in zip(x.values, y.values))), *g)
+
+
 def classical_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
     """Moments of the sum of uncorrelated sequences: add classical cumulants."""
-    _check_orders(a, b)
-    return moments_from_classical(
-        _elementwise_sum(classical_from_moments(a), classical_from_moments(b))
-    )
+    return _convolve(a, b, classical_from_moments, moments_from_classical)
 
 
 def boolean_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
-    _check_orders(a, b)
-    return moments_from_boolean(
-        _elementwise_sum(boolean_from_moments(a), boolean_from_moments(b))
-    )
+    return _convolve(a, b, boolean_from_moments, moments_from_boolean)
 
 
 def free_convolve(a: MomentSequence, b: MomentSequence) -> MomentSequence:
-    _check_orders(a, b)
-    return moments_from_free(
-        _elementwise_sum(free_from_moments(a), free_from_moments(b))
-    )
+    return _convolve(a, b, free_from_moments, moments_from_free)
 
 
 def gamma_convolve(
     a: MomentSequence, b: MomentSequence, multipliers: MultiplierSequence
 ) -> MomentSequence:
     """Convolution for the unified family: add generalized cumulants, invert."""
-    _check_orders(a, b)
-    return moments_from_generalized(
-        _elementwise_sum(
-            generalized_cumulants(a, multipliers), generalized_cumulants(b, multipliers)
-        ),
-        multipliers,
-    )
+    return _convolve(a, b, generalized_cumulants, moments_from_generalized, multipliers)
 
 
 def boolean_free_transport(moments: MomentSequence) -> MomentSequence:

@@ -196,6 +196,30 @@ def test_exponent_past_the_digit_limit_is_a_usage_error(capsys, monkeypatch, hug
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"order": 1, "values": [' + "9" * 5000 + "]}",  # a JSON number past the digit limit
+        "[" * 100_000,  # nesting past the decoder's recursion limit
+    ],
+    ids=["long-number", "deep-nesting"],
+)
+def test_json_the_decoder_refuses_is_a_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "transform", "--theory", "classical", "--direction", "m2c")
+    assert code == 2 and out == "" and err.startswith("error: malformed JSON input: "), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theory, small", [("classical", "1e-4000"), ("free", "1e-2200")])
+def test_result_past_the_digit_limit_is_a_usage_error(capsys, monkeypatch, theory, small):
+    # a short input whose cumulants have denominators past 4,300 digits
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(small, 1))))
+    code, out, err = run(capsys, "transform", "--theory", theory, "--direction", "m2c")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: result too large to write out: ") and "Exceeds the limit" in err
+
+
 @pytest.mark.parametrize("text, value, c_2", [("1e3", "1000", "-999"), ("2.5", "5/2", "-3/2")])
 def test_exponent_and_decimal_notation_are_accepted(capsys, monkeypatch, text, value, c_2):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"order": 1, "values": [text]})))
@@ -501,6 +525,18 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert err == "internal error: ValueError: shape sum went wrong\n"
+
+
+def test_volume_computation_error_exits_three(capsys, monkeypatch):
+    # the tables are computed before any value is written out, so a ValueError
+    # from the computation stays an internal error
+    def broken(seq, k):
+        raise ValueError("volume went wrong")
+
+    monkeypatch.setattr(cli, "volume_shape_eval", broken)
+    code, out, err = run(capsys, "volume", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: volume went wrong\n"
 
 
 def test_failing_check_reports_counterexample(capsys, monkeypatch):

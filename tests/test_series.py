@@ -203,13 +203,6 @@ def test_power():
     assert f.power(Fraction(2)) == f * f
 
 
-def test_egf_ogf_rescaling():
-    egf = TruncatedSeries(4, [1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)])
-    ogf = egf.egf_to_ogf()
-    assert ogf.coeffs == (F(1), F(1), F(1), F(1), F(1))
-    assert ogf.ogf_to_egf() == egf
-
-
 def test_json_roundtrip():
     s = TruncatedSeries(3, [1, Fraction(-1, 2), 0, Fraction(7, 3)])
     data = s.to_json()

@@ -210,6 +210,33 @@ def test_free_round_trip_and_fixed_point_oracle():
         assert moments_from_free_series(r) == a
 
 
+def fixed_point(r: MomentSequence) -> MomentSequence:
+    """M = R(t M) iterated N times from M = 1: the literal definition of the moment OGF."""
+    n = r.order
+    big_r, t = r.to_ogf(), TruncatedSeries.identity(n)
+    m = TruncatedSeries.constant(1, n)
+    for _ in range(n):
+        m = big_r.compose(t * m)
+    return MomentSequence(m.coeffs[1:])
+
+
+def test_free_series_oracle_solves_the_fixed_point():
+    # the oracle reverts t / R(t); the fixed point is the equation it solves
+    rng = random.Random(19)
+    wide = 10**40
+    for order in (1, 2, 7, 20):
+        r = random_seq(rng, order)
+        assert moments_from_free_series(r) == fixed_point(r)
+    for order in (1, 3, 8):
+        r = MomentSequence.from_values(
+            [Fraction(rng.randint(-wide, wide), rng.randint(1, wide)) for _ in range(order)]
+        )
+        assert moments_from_free_series(r) == fixed_point(r)
+    # order 0, where the fixed point has no series t to iterate with
+    empty = MomentSequence(())
+    assert moments_from_free_series(empty) == moments_from_free(empty) == empty
+
+
 # ---------------------------------------------------------------------------
 # unified family
 
@@ -270,8 +297,12 @@ def test_generalized_homogeneity():
 def test_order_mismatch_raises():
     with pytest.raises(ValueError):
         generalized_cumulants(seq(1, 2), MultiplierSequence.constant(1, 3))
-    with pytest.raises(ValueError):
-        classical_convolve(seq(1), seq(1, 2))
+    for convolve in (classical_convolve, boolean_convolve, free_convolve):
+        with pytest.raises(ValueError, match="sequence order mismatch: 1 != 2"):
+            convolve(seq(1), seq(1, 2))
+    # g matches a, so only a and b disagree, and the message names their orders
+    with pytest.raises(ValueError, match="sequence order mismatch: 2 != 3"):
+        gamma_convolve(seq(1, 2), seq(1, 2, 3), MultiplierSequence.constant(1, 2))
 
 
 # ---------------------------------------------------------------------------

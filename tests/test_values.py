@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,21 +107,39 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
 
 
 def test_every_traced_name_resolves():
-    # a fresh interpreter, since install patches the package's modules
+    # a fresh interpreter, since install patches the package's modules; the CLI
+    # calls then show that its commands reach the wrapped functions
     root = Path(__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        "import cumulants.cli\n"
-        f"sys.path.insert(0, {str(root / 'bench')!r})\n"
-        "import tracing\n"
-        "print(tracing.install(tracing.Tracer()), "
-        "sum(len(names) for names in tracing.TRACED.values()))\n"
-    )
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import cumulants.cli
+        sys.path.insert(0, {str(root / 'bench')!r})
+        import tracing
+        tracer = tracing.Tracer()
+        print(tracing.install(tracer), sum(len(names) for names in tracing.TRACED.values()))
+        pair = '[{{"order": 2, "values": ["1", "2"]}}, {{"order": 2, "values": ["0", "1"]}}]'
+        sys.stdin = io.StringIO(pair)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cumulants.cli.main(["transform", "--theory", "abel", "--direction", "m2c",
+                                    "--g", "n", "--input", "u", "--order", "6"]),
+                cumulants.cli.main(["convolve", "--theory", "free"]),
+            ]
+        print(*codes)
+        print(*sorted(tracer.summarize()["per_name"]))
+    """)
     env = dict(
         os.environ, PYTHONPATH=str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    wrapped, listed = map(int, done.stdout.split())
+    counts, codes, names = done.stdout.splitlines()
+    wrapped, listed = map(int, counts.split())
     assert wrapped == listed > 0
+    assert codes == "0 0"
+    assert {
+        "transforms.generalized_cumulants",
+        "transforms.free_convolve",
+        "transforms.free_from_moments",
+    } <= set(names.split())
