@@ -10,7 +10,6 @@ independence is the point; keep it when modifying.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -78,12 +77,12 @@ def eval_interval(
     func: MultiplicativeFunction, sigma: SetPartition, pi: SetPartition
 ) -> Fraction:
     """f(sigma, pi) = prod_i f_i^(k_i) over the interval type of [sigma, pi]."""
-    ktype = interval_type(sigma, pi)
-    out = Fraction(1)
-    for i, k_i in enumerate(ktype.k, start=1):
+    num = den = 1
+    for i, k_i in enumerate(interval_type(sigma, pi).k, start=1):
         if k_i:
-            out *= func.f(i) ** k_i
-    return out
+            num *= func.f(i).numerator ** k_i
+            den *= func.f(i).denominator ** k_i
+    return Fraction(num, den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,12 +91,12 @@ def _elements(n: int, lattice: Lattice) -> tuple[SetPartition, ...]:
         return tuple(set_partitions(n))
     if lattice is Lattice.NC:
         return tuple(noncrossing_partitions(n))
-    if lattice is Lattice.INTERVAL:
-        return tuple(interval_partitions(n))
-    raise ValueError(f"unknown lattice: {lattice!r}")
+    return tuple(interval_partitions(n))
 
 
 def _check_bounds(n: int, lattice: Lattice) -> None:
+    if lattice not in CONVOLVE_LIMITS:
+        raise ValueError(f"unknown lattice: {lattice!r}")
     limit = CONVOLVE_LIMITS[lattice]
     if not 1 <= n <= limit:
         raise ValueError(f"{lattice.value} lattice computations support 1 <= n <= {limit}")
@@ -111,25 +110,39 @@ def convolve_lattice(
     On the full and interval lattices the upper interval [tau, 1_n] is a
     smaller lattice of the same kind, so g enters through g_{l(tau)}; on
     the noncrossing lattice it enters through the Kreweras complement.
+    Each term is multiplied out on integers and normalised once.
     """
     _check_bounds(n, lattice)
     if f.order < n or g.order < n:
         raise ValueError(f"functions must provide values up to n = {n}")
+    # f_s at index s, g_s at n + s
+    nums, dens = zip((1, 1), *(v.as_integer_ratio() for v in f.values[:n] + g.values[:n]))
     total = Fraction(0)
-    if lattice is Lattice.NC:
-        for tau in _elements(n, lattice):
-            total += f.on_partition(tau) * g.on_partition(kreweras_complement(tau))
-    else:
-        for tau in _elements(n, lattice):
-            total += f.on_partition(tau) * g.f(tau.length)
+    for tau in _elements(n, lattice):
+        sizes = [len(b) for b in tau.blocks]
+        if lattice is Lattice.NC:
+            sizes += [n + len(b) for b in kreweras_complement(tau).blocks]
+        else:
+            sizes.append(n + tau.length)
+        num = den = 1
+        for i in sizes:
+            num *= nums[i]
+            den *= dens[i]
+        total += Fraction(num, den)
     return total
 
 
+def _key(blocks, width: int) -> int:
+    """Partition key: field x (width bits) holds min(x's block); keys of disjoint blocks add."""
+    return sum(b[0] << width * (x - 1) for b in blocks for x in b)
+
+
 @functools.lru_cache(maxsize=None)
-def _block_refinements(block: tuple[int, ...], lattice: Lattice) -> tuple[tuple, ...]:
-    """Every partition of one block in the given lattice kind, as blocks."""
+def _block_refinements(block: tuple[int, ...], lattice: Lattice, width: int) -> tuple[int, ...]:
+    """`_key` of every partition of one block in the given lattice kind."""
+    shifts = [width * (y - 1) for y in block]
     return tuple(
-        tuple(tuple(block[x - 1] for x in b) for b in p.blocks)
+        sum(block[b[0] - 1] << shifts[x - 1] for b in p.blocks for x in b)
         for p in _elements(len(block), lattice)
     )
 
@@ -143,24 +156,22 @@ def mobius_by_recursion(n: int, lattice: Lattice) -> Fraction:
     The tau <= pi are generated, not searched for: they are the products,
     over the blocks of pi, of each block's partitions in the same lattice
     kind.  In the noncrossing and interval lattices such a product lies
-    in the lattice exactly because pi does.
+    in the lattice exactly because pi does, and its `_key` is a sum.
     """
     _check_bounds(n, lattice)
-    elements = sorted(_elements(n, lattice), key=lambda p: -p.length)
-    mu: dict[tuple, int] = {}  # the recursion stays within the integers
-    for pi in elements:
+    width = n.bit_length()
+    mu: dict[int, int] = {}  # the recursion stays within the integers
+    for pi in sorted(_elements(n, lattice), key=lambda p: -p.length):
+        own = _key(pi.blocks, width)
         if pi.length == n:
-            mu[pi.blocks] = 1
+            mu[own] = 1
             continue
-        total = 0
-        for parts in itertools.product(
-            *(_block_refinements(b, lattice) for b in pi.blocks)
-        ):
-            tau = tuple(sorted(itertools.chain.from_iterable(parts)))
-            if tau != pi.blocks:
-                total += mu[tau]
-        mu[pi.blocks] = -total
-    return Fraction(mu[(tuple(range(1, n + 1)),)])
+        keys = [0]
+        for block in pi.blocks:
+            refinements = _block_refinements(block, lattice, width)
+            keys = [k + r for k in keys for r in refinements]
+        mu[own] = -sum(mu[k] for k in keys if k != own)
+    return Fraction(mu[_key([range(1, n + 1)], width)])
 
 
 def mobius_function(order: int, lattice: Lattice) -> MultiplicativeFunction:
@@ -213,16 +224,14 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     if not 1 <= n <= THEOREM_LIMIT:
         raise ValueError(f"theorem checks support 1 <= n <= {THEOREM_LIMIT}")
     rng = random.Random(seed)
-    f_seq = _random_sequence(rng, n)
-    g_seq = _random_sequence(rng, n)
-    f_mf = MultiplicativeFunction.from_sequence(f_seq)
-    g_mf = MultiplicativeFunction.from_sequence(g_seq)
+    f_mf = MultiplicativeFunction.from_sequence(_random_sequence(rng, n))
+    g_mf = MultiplicativeFunction.from_sequence(_random_sequence(rng, n))
 
     def composition_pairs():
         if name == "T1":
-            lattice, outer, inner = Lattice.ALL, f_seq.to_egf(), g_seq.to_egf()
+            lattice, outer, inner = Lattice.ALL, f_mf.to_egf(), g_mf.to_egf()
         else:
-            lattice, outer, inner = Lattice.INTERVAL, f_seq.to_ogf(), g_seq.to_ogf()
+            lattice, outer, inner = Lattice.INTERVAL, f_mf.to_ogf(), g_mf.to_ogf()
         composed = outer.compose(inner - 1)
         for m in range(1, n + 1):
             scale = math.factorial(m) if name == "T1" else 1

@@ -11,6 +11,8 @@ import pytest
 from cumulants.lattice import (
     CONVOLVE_LIMITS,
     MultiplicativeFunction,
+    _block_refinements,
+    _key,
     convolve_lattice,
     eval_interval,
     mobius_by_recursion,
@@ -21,6 +23,7 @@ from cumulants.partitions import (
     Lattice,
     SetPartition,
     interval_partitions,
+    kreweras_complement,
     leq_refinement,
     noncrossing_partitions,
     set_partitions,
@@ -41,6 +44,11 @@ from cumulants.transforms import (
 
 BELL = [1, 2, 5, 15, 52, 203, 877]
 CATALAN = [1, 2, 5, 14, 42, 132, 429]
+ENUMERATE = {
+    Lattice.ALL: set_partitions,
+    Lattice.NC: noncrossing_partitions,
+    Lattice.INTERVAL: interval_partitions,
+}
 
 
 def random_seq(rng: random.Random, order: int) -> MomentSequence:
@@ -90,6 +98,49 @@ def test_convolve_bounds_and_order_checks():
         convolve_lattice(short, zeta, 3, Lattice.ALL)
 
 
+def test_unknown_lattice_is_a_value_error():
+    zeta = MultiplicativeFunction.zeta(3)
+    for call in (
+        lambda: convolve_lattice(zeta, zeta, 3, "nc"),
+        lambda: mobius_by_recursion(3, "nc"),
+        lambda: mobius_function(3, "nc"),
+    ):
+        with pytest.raises(ValueError, match="unknown lattice: 'nc'"):
+            call()
+
+
+def _draw(rng: random.Random, order: int, digits: int) -> MultiplicativeFunction:
+    """Small p/q (digits 0) or coprime p/q of the given digits, one of them set to 0."""
+    values = []
+    for _ in range(order):
+        if not digits:
+            values.append(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            continue
+        p, q = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+        while math.gcd(p, q) != 1:
+            q = rng.randrange(10 ** (digits - 1), 10**digits)
+        values.append(Fraction(rng.choice((-1, 1)) * p, q))
+    values[rng.randrange(order)] = Fraction(0)
+    return MultiplicativeFunction.from_values(values)
+
+
+def test_convolve_matches_per_block_reference():
+    # the literal sum with one Fraction product per block, on both sides
+    for seed, digits in ((46, 0), (47, 40)):
+        rng = random.Random(seed)
+        for lattice, limit in CONVOLVE_LIMITS.items():
+            f, g = _draw(rng, limit, digits), _draw(rng, limit, digits)
+            for n in range(1, limit + 1):
+                expected = Fraction(0)
+                for tau in ENUMERATE[lattice](n):
+                    if lattice is Lattice.NC:
+                        upper = g.on_partition(kreweras_complement(tau))
+                    else:
+                        upper = g.f(tau.length)
+                    expected += f.on_partition(tau) * upper
+                assert convolve_lattice(f, g, n, lattice) == expected
+
+
 def test_delta_is_identity():
     rng = random.Random(40)
     f = MultiplicativeFunction.from_sequence(random_seq(rng, 6))
@@ -114,12 +165,7 @@ def test_mobius_recursion_values():
 def _mobius_by_scan(n: int, lattice: Lattice) -> Fraction:
     """The defining recursion with every lower ideal found by testing all
     |L|^2 pairs for refinement."""
-    enumerate_lattice = {
-        Lattice.ALL: set_partitions,
-        Lattice.NC: noncrossing_partitions,
-        Lattice.INTERVAL: interval_partitions,
-    }[lattice]
-    elements = sorted(enumerate_lattice(n), key=lambda p: -p.length)
+    elements = sorted(ENUMERATE[lattice](n), key=lambda p: -p.length)
     mu = {}
     for pi in elements:
         if pi == singletons(n):
@@ -133,9 +179,21 @@ def test_mobius_recursion_matches_pair_scan():
     for lattice in (Lattice.ALL, Lattice.NC, Lattice.INTERVAL):
         for n in range(1, 7):
             assert mobius_by_recursion(n, lattice) == _mobius_by_scan(n, lattice)
-    for n in (7, 8):
+    for n in (7, 8, 9):
         assert mobius_by_recursion(n, Lattice.INTERVAL) == _mobius_by_scan(n, Lattice.INTERVAL)
     assert isinstance(mobius_by_recursion(5, Lattice.NC), Fraction)
+
+
+def test_mobius_keys_are_distinct_and_add_over_blocks():
+    for lattice, limit in CONVOLVE_LIMITS.items():
+        width = limit.bit_length()
+        elements = ENUMERATE[lattice](limit)
+        assert len({_key(p.blocks, width) for p in elements}) == len(elements)
+        # a block's refinement keys are the keys of its relabelled partitions
+        block = (2, 3, 5, 6) if lattice is Lattice.ALL else (3, 4, 5, 6)
+        relabelled = [[[block[x - 1] for x in b] for b in p.blocks] for p in ENUMERATE[lattice](4)]
+        expected = tuple(_key(blocks, width) for blocks in relabelled)
+        assert _block_refinements(block, lattice, width) == expected
 
 
 def test_mobius_inverts_zeta():
