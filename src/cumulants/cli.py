@@ -145,8 +145,11 @@ def _emit(result, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

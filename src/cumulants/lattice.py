@@ -147,7 +147,6 @@ def _block_refinements(block: tuple[int, ...], lattice: Lattice, width: int) -> 
     )
 
 
-@functools.lru_cache(maxsize=None)
 def mobius_by_recursion(n: int, lattice: Lattice) -> Fraction:
     """mu(0_n, 1_n) from the defining recursion, no closed form used.
 

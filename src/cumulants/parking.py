@@ -9,7 +9,6 @@ the free moment/cumulant transform in one picture.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -28,8 +27,7 @@ def is_parking(entries) -> bool:
     return all(p <= j for j, p in enumerate(sorted(seq), start=1))
 
 
-@functools.lru_cache(maxsize=None)
-def _parking_functions(n: int) -> tuple[tuple[int, ...], ...]:
+def _parking_functions(n: int) -> list[tuple[int, ...]]:
     # A prefix with `left` slots still open can be completed iff
     # f(j) = #{entries <= j} - j >= -left for every j.  f starts at 0 and
     # falls by at most 1 per step, so the values that may come next are
@@ -65,14 +63,14 @@ def _parking_functions(n: int) -> tuple[tuple[int, ...], ...]:
             counts[v] -= 1
 
     rec((), n)
-    return tuple(out)
+    return out
 
 
 def enumerate_parking(n: int) -> list[tuple[int, ...]]:
     """All parking functions of length n in lexicographic order."""
     if not 1 <= n <= PARKING_LIMIT:
         raise ValueError(f"parking enumeration supports 1 <= n <= {PARKING_LIMIT}")
-    return list(_parking_functions(n))
+    return _parking_functions(n)
 
 
 def parking_type(entries) -> IntegerPartition:

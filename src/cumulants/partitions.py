@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .series import Frozen, _setattr
 
-# B_11 = 678,570 set partitions take 3.5-3.7 s and 343 MiB; the 208,012
-# noncrossing partitions of 12 take 1.5 s and 133 MiB
+# B_11 = 678,570 set partitions take 2.9-3.4 s and 311 MiB; the 208,012
+# noncrossing partitions of 12 take 1.3-1.4 s and 120 MiB
 SET_PARTITION_LIMIT = 11
 NONCROSSING_PARTITION_LIMIT = 12
 INTERVAL_PARTITION_LIMIT = 16
@@ -42,8 +42,7 @@ def falling_factorial(x, k: int):
 class IntegerPartition(Frozen):
     """Nonincreasing positive parts; the shape of a set partition."""
 
-    __slots__ = ("parts",)
-    FIELDS = ("parts",)
+    __slots__ = FIELDS = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
@@ -110,7 +109,7 @@ def d_lambda(shape: IntegerPartition) -> int:
 class SetPartition(Frozen):
     """Partition of {1..n} into disjoint blocks, stored canonically."""
 
-    FIELDS = ("n", "blocks")
+    __slots__ = FIELDS = ("n", "blocks")
 
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
         _setattr(self, "n", n)
@@ -140,9 +139,9 @@ class SetPartition(Frozen):
     def shape(self) -> IntegerPartition:
         return IntegerPartition(tuple(sorted((len(b) for b in self.blocks), reverse=True)))
 
-    @functools.cached_property
+    @property
     def block_index(self) -> dict[int, int]:
-        """Element -> position of its block; cached, do not mutate."""
+        """Element -> position of its block, built afresh on each call."""
         out: dict[int, int] = {}
         for i, block in enumerate(self.blocks):
             for x in block:

@@ -485,6 +485,18 @@ def test_output_to_file(capsys, tmp_path):
     assert json.loads(text) == {"order": 3, "values": ["1", "1", "1"]}
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    # a missing directory and a directory itself, as --input already treats them
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(
+            capsys, "transform", "--theory", "classical", "--direction", "m2c",
+            "--input", "u", "--order", "3", "--output", str(target),
+        )
+        assert code == 2 and out == "", (target, err)
+        assert err.startswith(f"error: cannot write output {str(target)!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_stdout_carries_json_only(capsys):
     code, out, err = run(
         capsys, "transform", "--theory", "free", "--direction", "c2m",

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from cumulants.lattice import MultiplicativeFunction
-from cumulants.partitions import IntegerPartition, IntervalType, SetPartition
+from cumulants.partitions import IntegerPartition, IntervalType, SetPartition, set_partitions
 from cumulants.series import TruncatedSeries
 from cumulants.transforms import CumulantMatrix, MomentSequence
 
@@ -88,6 +88,16 @@ def test_integer_partition_validation_messages():
     with pytest.raises(ValueError, match="^parts must be positive integers$"):
         IntegerPartition((0,))
     assert IntegerPartition([3, 1]).parts == (3, 1)
+
+
+def test_set_partitions_carry_no_per_object_state():
+    partition = set_partitions(4)[7]
+    assert not hasattr(partition, "__dict__")
+    expected = {x: i for i, block in enumerate(partition.blocks) for x in block}
+    index = partition.block_index
+    assert index == expected
+    index[1] = 99
+    assert partition.block_index == expected
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
