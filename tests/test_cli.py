@@ -296,6 +296,13 @@ def test_matrix_order_zero_is_not_ignored(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(1, 2, 3))))
     code, out, err = run(capsys, *argv, "-")
     assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")
+    # volume reads its input, 'u' by default, by the same rule, with --n as its size
+    for order in ("0", "1"):
+        code, out, err = run(capsys, "volume", "--n", "3", "--order", order)
+        assert (code, out, err) == (2, "", f"error: input order {order} is below --n 3\n")
+    catalan = ("volume", "--n", "4", "--input", "catalan")
+    code, out, err = run(capsys, *catalan)
+    assert (code, out, err) == run(capsys, *catalan, "--order", "4") and code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +437,7 @@ def test_verify_suites_pass(capsys):
 def test_verify_range_is_checked_before_the_suite_runs(capsys, monkeypatch):
     limits = {"lattice": 7, "abel": 6, "volume": 7, "transport": 12, "parametrization": 12}
     for suite, limit in limits.items():
-        monkeypatch.setitem(cli._SUITES, suite, None)  # never called
+        monkeypatch.setitem(cli._SUITES, suite, (cli._SUITES[suite][0], None))  # never called
         for n in (0, limit + 1):
             code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
             assert (code, out) == (2, "")
@@ -446,13 +453,9 @@ def test_verify_exit_codes(capsys):
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     def rigged(n, seed):
-        return {
-            "suite": "lattice",
-            "n": n,
-            "checks": [{"name": "RIGGED", "pass": False}],
-        }
+        return [{"name": "RIGGED", "pass": False}]
 
-    monkeypatch.setitem(cli._SUITES, "lattice", rigged)
+    monkeypatch.setitem(cli._SUITES, "lattice", (7, rigged))
     code, out, err = run(capsys, "verify", "--suite", "lattice", "--n", "3")
     assert code == 1
     data = json.loads(out)

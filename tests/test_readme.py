@@ -1,0 +1,42 @@
+"""The README's command-line examples, run in-process against what they show."""
+
+from __future__ import annotations
+
+import io
+import re
+import shlex
+from pathlib import Path
+
+from cumulants.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def cli_examples():
+    """(argv, stdin, shown output) for each ``$ cumulants ...`` example."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```\n", 2)[1]
+    examples = []
+    for entry in block.strip().split("\n\n"):
+        command, shown = entry.replace("\\\n", "").split("\n", 1)
+        stdin = ""
+        if " | " in command:
+            echo, command = command.split(" | ", 1)
+            stdin = shlex.split(echo)[2] + "\n"
+        prog, *argv = shlex.split(command.removeprefix("$ "))
+        assert prog == "cumulants", entry
+        examples.append((argv, stdin, shown.strip()))
+    return examples
+
+
+def test_readme_cli_examples(capsys, monkeypatch):
+    examples = cli_examples()
+    assert examples
+    for argv, stdin, shown in examples:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        # '...' in the README stands for output left out
+        pattern = ".*".join(map(re.escape, shown.split("...")))
+        assert re.fullmatch(pattern + "\n", out, re.S), (argv, out)
