@@ -13,10 +13,12 @@ import functools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from .partitions import (
     Lattice,
     SetPartition,
+    check_size,
     interval_partitions,
     interval_type,
     kreweras_complement,
@@ -97,9 +99,7 @@ def _elements(n: int, lattice: Lattice) -> tuple[SetPartition, ...]:
 def _check_bounds(n: int, lattice: Lattice) -> None:
     if lattice not in CONVOLVE_LIMITS:
         raise ValueError(f"unknown lattice: {lattice!r}")
-    limit = CONVOLVE_LIMITS[lattice]
-    if not 1 <= n <= limit:
-        raise ValueError(f"{lattice.value} lattice computations support 1 <= n <= {limit}")
+    check_size(n, CONVOLVE_LIMITS[lattice], f"{lattice.value} lattice computations support")
 
 
 def convolve_lattice(
@@ -110,14 +110,14 @@ def convolve_lattice(
     On the full and interval lattices the upper interval [tau, 1_n] is a
     smaller lattice of the same kind, so g enters through g_{l(tau)}; on
     the noncrossing lattice it enters through the Kreweras complement.
-    Each term is multiplied out on integers and normalised once.
+    Terms are multiplied out on integers and summed per exact denominator.
     """
     _check_bounds(n, lattice)
     if f.order < n or g.order < n:
         raise ValueError(f"functions must provide values up to n = {n}")
     # f_s at index s, g_s at n + s
     nums, dens = zip((1, 1), *(v.as_integer_ratio() for v in f.values[:n] + g.values[:n]))
-    total = Fraction(0)
+    sums: dict[int, int] = {}
     for tau in _elements(n, lattice):
         sizes = [len(b) for b in tau.blocks]
         if lattice is Lattice.NC:
@@ -128,8 +128,8 @@ def convolve_lattice(
         for i in sizes:
             num *= nums[i]
             den *= dens[i]
-        total += Fraction(num, den)
-    return total
+        sums[den] = sums.get(den, 0) + num
+    return sum(Fraction(num, den) for den, num in sums.items())
 
 
 def _key(blocks, width: int) -> int:
@@ -138,13 +138,19 @@ def _key(blocks, width: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _least_positions(m: int, lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+    """Per partition of [m] in the lattice kind, m (x - 1) + min(x's block) - 1 for each x."""
+    return tuple(
+        tuple(m * (x - 1) + b[0] - 1 for b in p.blocks for x in b) for p in _elements(m, lattice)
+    )
+
+
 def _block_refinements(block: tuple[int, ...], lattice: Lattice, width: int) -> tuple[int, ...]:
     """`_key` of every partition of one block in the given lattice kind."""
-    shifts = [width * (y - 1) for y in block]
-    return tuple(
-        sum(block[b[0] - 1] << shifts[x - 1] for b in p.blocks for x in b)
-        for p in _elements(len(block), lattice)
-    )
+    # fields[m i + j]: block[j] in the field of block[i]; `_least_positions`
+    # picks, for each element, the field value of its block's least element
+    fields = [z << width * (y - 1) for y in block for z in block]
+    return tuple(sum(map(fields.__getitem__, p)) for p in _least_positions(len(block), lattice))
 
 
 def mobius_by_recursion(n: int, lattice: Lattice) -> Fraction:
@@ -159,17 +165,17 @@ def mobius_by_recursion(n: int, lattice: Lattice) -> Fraction:
     """
     _check_bounds(n, lattice)
     width = n.bit_length()
+    elements = sorted(_elements(n, lattice), key=lambda p: -p.length)
+    blocks = {block for pi in elements for block in pi.blocks}
+    tables = {block: _block_refinements(block, lattice, width) for block in blocks}
     mu: dict[int, int] = {}  # the recursion stays within the integers
-    for pi in sorted(_elements(n, lattice), key=lambda p: -p.length):
+    for pi in elements:
         own = _key(pi.blocks, width)
         if pi.length == n:
             mu[own] = 1
             continue
-        keys = [0]
-        for block in pi.blocks:
-            refinements = _block_refinements(block, lattice, width)
-            keys = [k + r for k in keys for r in refinements]
-        mu[own] = -sum(mu[k] for k in keys if k != own)
+        mu[own] = 0  # pi is in its own lower ideal; this drops it from the sum
+        mu[own] = -sum(map(mu.__getitem__, map(sum, product(*map(tables.__getitem__, pi.blocks)))))
     return Fraction(mu[_key([range(1, n + 1)], width)])
 
 
@@ -220,8 +226,7 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     name = which.upper()
     if name not in ("T1", "T2", "T3", "COMMUTATIVITY"):
         raise ValueError(f"unknown theorem {which!r}")
-    if not 1 <= n <= THEOREM_LIMIT:
-        raise ValueError(f"theorem checks support 1 <= n <= {THEOREM_LIMIT}")
+    check_size(n, THEOREM_LIMIT, "theorem checks support")
     rng = random.Random(seed)
     f_mf = MultiplicativeFunction.from_sequence(_random_sequence(rng, n))
     g_mf = MultiplicativeFunction.from_sequence(_random_sequence(rng, n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import IntegerPartition, falling_factorial
+from .partitions import IntegerPartition, check_size, falling_factorial
 from .series import as_fraction
 from .transforms import MomentSequence, _free_weight, _shape_sum, free_from_moments
 
@@ -68,8 +68,7 @@ def _parking_functions(n: int) -> list[tuple[int, ...]]:
 
 def enumerate_parking(n: int) -> list[tuple[int, ...]]:
     """All parking functions of length n in lexicographic order."""
-    if not 1 <= n <= PARKING_LIMIT:
-        raise ValueError(f"parking enumeration supports 1 <= n <= {PARKING_LIMIT}")
+    check_size(n, PARKING_LIMIT, "parking enumeration supports")
     return _parking_functions(n)
 
 
@@ -96,8 +95,7 @@ def volume_bruteforce(xs) -> Fraction:
     """
     values = [as_fraction(x) for x in xs]
     n = len(values)
-    if not 1 <= n <= PARKING_LIMIT:
-        raise ValueError(f"brute-force volume supports 1 <= n <= {PARKING_LIMIT}")
+    check_size(n, PARKING_LIMIT, "brute-force volume supports")
     d = math.lcm(*(x.denominator for x in values))
     scaled = [0] + [x.numerator * (d // x.denominator) for x in values]
     total = sum(math.prod(map(scaled.__getitem__, p)) for p in _parking_functions(n))
@@ -113,8 +111,7 @@ def volume_bruteforce_symmetric(seq: MomentSequence, n: int) -> Fraction:
     so the sum runs on the integers d^m a_m, d the common denominator of
     a_1..a_n, and is divided by d^n n! once at the end.
     """
-    if not 1 <= n <= PARKING_LIMIT:
-        raise ValueError(f"brute-force volume supports 1 <= n <= {PARKING_LIMIT}")
+    check_size(n, PARKING_LIMIT, "brute-force volume supports")
     if seq.order < n:
         raise ValueError(f"sequence must provide entries up to {n}")
     entries = [seq.moment(m) for m in range(1, n + 1)]

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .series import Frozen, _setattr
 
-# B_11 = 678,570 set partitions take 2.9-3.4 s and 311 MiB; the 208,012
-# noncrossing partitions of 12 take 1.3-1.4 s and 120 MiB
+# B_11 = 678,570 set partitions take 1.8-2.0 s and 182 MiB; the 208,012
+# noncrossing partitions of 12 take 0.7 s and 78 MiB
 SET_PARTITION_LIMIT = 11
 NONCROSSING_PARTITION_LIMIT = 12
 INTERVAL_PARTITION_LIMIT = 16
@@ -159,19 +159,30 @@ def single_block(n: int) -> SetPartition:
     return SetPartition.from_blocks(n, [list(range(1, n + 1))])
 
 
+def check_size(n, limit: int, what: str) -> None:
+    """The size rule of every enumeration and oracle: an int, not a bool, in 1..limit."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= limit:
+        raise ValueError(f"{what} 1 <= n <= {limit}")
+
+
+def _with_last(n: int, base: tuple, into) -> list[SetPartition]:
+    """Every completion of base by element n: n joins block j for j in `into`, then a new one."""
+    out = [SetPartition(n, base[:j] + (base[j] + (n,),) + base[j + 1 :]) for j in into]
+    return out + [SetPartition(n, base + ((n,),))]
+
+
 def set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of [n] in restricted-growth-string order."""
-    if not 1 <= n <= SET_PARTITION_LIMIT:
-        raise ValueError(f"set partition enumeration supports 1 <= n <= {SET_PARTITION_LIMIT}")
+    check_size(n, SET_PARTITION_LIMIT, "set partition enumeration supports")
     results = []
     blocks: list[list[int]] = []
 
     # element i joins each open block in turn, then a new one: growth-string
     # order.  Elements arrive increasing, so blocks come out sorted and
-    # ordered by least element, canonical as built
+    # ordered by least element, canonical as built; n is placed in bulk
     def rec(i):
-        if i > n:
-            results.append(SetPartition(n, tuple(map(tuple, blocks))))
+        if i == n:
+            results.extend(_with_last(n, tuple(map(tuple, blocks)), range(len(blocks))))
             return
         for b in blocks:
             b.append(i)
@@ -207,10 +218,7 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
     Generated directly, so the cost follows the Catalan number, not the
     Bell number.
     """
-    if not 1 <= n <= NONCROSSING_PARTITION_LIMIT:
-        raise ValueError(
-            f"noncrossing enumeration supports 1 <= n <= {NONCROSSING_PARTITION_LIMIT}"
-        )
+    check_size(n, NONCROSSING_PARTITION_LIMIT, "noncrossing enumeration supports")
     results = []
     blocks: list[list[int]] = []
 
@@ -220,10 +228,10 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
     # and i, and those can take no later element without crossing.  The
     # blocks that can still grow are kept ordered by least element, which
     # is also their order by last element, so the choices come out in
-    # restricted-growth-string order.
+    # restricted-growth-string order.  Element n is placed in bulk.
     def rec(i, growable):
-        if i > n:
-            results.append(SetPartition(n, tuple(tuple(b) for b in blocks)))
+        if i == n:
+            results.extend(_with_last(n, tuple(map(tuple, blocks)), growable))
             return
         for pos, b in enumerate(growable):
             blocks[b].append(i)
@@ -243,19 +251,16 @@ def is_interval(partition: SetPartition) -> bool:
 
 
 def interval_partitions(n: int) -> list[SetPartition]:
-    if not 1 <= n <= INTERVAL_PARTITION_LIMIT:
-        raise ValueError(
-            f"interval partition enumeration supports 1 <= n <= {INTERVAL_PARTITION_LIMIT}"
-        )
+    check_size(n, INTERVAL_PARTITION_LIMIT, "interval partition enumeration supports")
     out = []
+    # runs of consecutive integers, left to right: canonical as built.
+    # runs[s] holds s..e for e = s..n, built once; the last ends the partition
+    runs = [()] + [[tuple(range(s, e + 1)) for e in range(s, n + 1)] for s in range(1, n + 1)]
 
-    # runs of consecutive integers, left to right: canonical as built
     def rec(start, acc):
-        if start > n:
-            out.append(SetPartition(n, acc))
-            return
-        for size in range(1, n - start + 2):
-            rec(start + size, acc + (tuple(range(start, start + size)),))
+        for run in runs[start][:-1]:
+            rec(run[-1] + 1, acc + (run,))
+        out.append(SetPartition(n, acc + (runs[start][-1],)))
 
     rec(1, ())
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cumulants.lattice import (
     mobius_function,
     verify_theorem,
 )
+from cumulants.parking import enumerate_parking, volume_bruteforce_symmetric
 from cumulants.partitions import (
     Lattice,
     SetPartition,
@@ -318,3 +320,31 @@ def test_fourier_zeta_squared_gives_catalan():
     assert r_h == square
     ones = named_sequence("u", 5)
     assert free_from_moments(ones).to_ogf() == TruncatedSeries(5, [1, 1, 0, 0, 0, 0])
+
+
+def test_sizes_must_be_plain_integers():
+    # True == 1 and 3.0 == 3 pass a bare range check; every entry point
+    # refuses them through the one size rule, with its own range message
+    f = MultiplicativeFunction.zeta(3)
+    u = MomentSequence.constant(1, 3)
+    cases = [
+        (set_partitions, "set partition enumeration supports 1 <= n <= 11"),
+        (noncrossing_partitions, "noncrossing enumeration supports 1 <= n <= 12"),
+        (interval_partitions, "interval partition enumeration supports 1 <= n <= 16"),
+        (enumerate_parking, "parking enumeration supports 1 <= n <= 7"),
+        (lambda n: volume_bruteforce_symmetric(u, n), "brute-force volume supports 1 <= n <= 7"),
+        (
+            lambda n: mobius_by_recursion(n, Lattice.NC),
+            "nc lattice computations support 1 <= n <= 7",
+        ),
+        (
+            lambda n: convolve_lattice(f, f, n, Lattice.ALL),
+            "all lattice computations support 1 <= n <= 7",
+        ),
+        (lambda n: verify_theorem(n, "T2"), "theorem checks support 1 <= n <= 6"),
+    ]
+    for call, message in cases:
+        for n in (True, 2.0, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(n)
+        call(2)
