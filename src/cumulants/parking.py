@@ -137,10 +137,7 @@ def volume_shape_eval(seq: MomentSequence, n: int) -> Fraction:
     monomial to the product of sequence entries over the parts.  Since
     d_lambda = n! / (lambda! m(lambda)!), that is sum_l (n)_(l-1)/n! B_{n,l}.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if seq.order < n:
-        raise ValueError(f"sequence must provide entries up to {n}")
+    check_size(n, seq.order, "volume shape sums need")
     return _shape_sum(
         seq.values, n, lambda n, l: Fraction(falling_factorial(n, l - 1), math.factorial(n))
     )
@@ -153,10 +150,7 @@ def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
     representative monomial, the ordinary row weighted like moments_from_free;
     at a free cumulant sequence this reproduces the n-th moment.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if cumulants.order < n:
-        raise ValueError(f"sequence must provide entries up to {n}")
+    check_size(n, cumulants.order, "orbit shape sums need")
     return _shape_sum(cumulants.values, n, _free_weight, ordinary=True)
 
 

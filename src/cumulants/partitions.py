@@ -1,12 +1,16 @@
 """Integer partitions, set partitions, and the three partition lattices.
 
 Set partitions are kept canonical (blocks sorted internally and by least
-element) so they hash and compare structurally.  The enumerations build
-their blocks canonical; ``SetPartition.from_blocks`` is the validating
-constructor for outside input.  Enumeration orders are
-fixed: restricted growth strings for set partitions, reverse
-lexicographic for integer partitions, and first-block-size order for the
-compositions backing interval partitions.
+element) so they hash and compare structurally; the enumerations build
+them canonical, and ``SetPartition.from_blocks`` is the validating
+constructor for outside input.  Set and noncrossing partitions come from
+one restricted-growth generator with a growth rule per lattice: every
+block stays growable, or only those no other block has enclosed yet.
+Interval partitions keep their own composition enumerator, which ran
+about twice as fast as the generator restricted to one growable block.
+Enumeration orders are fixed: restricted growth strings for set and
+noncrossing partitions, reverse lexicographic for integer partitions,
+and first-block-size order for interval partitions.
 """
 
 from __future__ import annotations
@@ -96,8 +100,7 @@ def _integer_partitions(n: int) -> tuple[IntegerPartition, ...]:
 
 def integer_partitions(n: int) -> list[IntegerPartition]:
     """All partitions of n, reverse lexicographic: (n) first, (1,...,1) last."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(n, math.inf, "integer partitions need", least=0)
     return list(_integer_partitions(n))
 
 
@@ -159,41 +162,50 @@ def single_block(n: int) -> SetPartition:
     return SetPartition.from_blocks(n, [list(range(1, n + 1))])
 
 
-def check_size(n, limit: int, what: str) -> None:
-    """The size rule of every enumeration and oracle: an int, not a bool, in 1..limit."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= limit:
-        raise ValueError(f"{what} 1 <= n <= {limit}")
+def check_size(n, limit, what: str, least: int = 1) -> None:
+    """The one size and degree rule: an int, not a bool, in least..limit."""
+    if not isinstance(n, int) or isinstance(n, bool) or not least <= n <= limit:
+        raise ValueError(f"{what} {least} <= n <= {limit}")
 
 
-def _with_last(n: int, base: tuple, into) -> list[SetPartition]:
-    """Every completion of base by element n: n joins block j for j in `into`, then a new one."""
-    out = [SetPartition(n, base[:j] + (base[j] + (n,),) + base[j + 1 :]) for j in into]
-    return out + [SetPartition(n, base + ((n,),))]
+def _restricted_growth(n: int, noncrossing: bool) -> list[SetPartition]:
+    """Partitions of [n] in restricted-growth-string order, under one growth rule.
+
+    Elements are placed in increasing order: element i joins each growable
+    block in turn, then opens a new growable block, so blocks come out sorted
+    and ordered by least element, canonical as built.  For set partitions
+    every block stays growable.  For noncrossing ones, joining i to a block
+    encloses each later growable block, which could take no further element
+    without crossing, so only growable[:pos + 1] stays.  Element n is placed
+    in bulk: each completion replaces one block of the tuples built for 1..n-1.
+    """
+    results = []
+    blocks: list[list[int]] = []
+
+    def rec(i, growable):
+        if i == n:
+            base = tuple(map(tuple, blocks))
+            results.extend(
+                [SetPartition(n, base[:j] + (base[j] + (n,),) + base[j + 1 :]) for j in growable]
+            )
+            results.append(SetPartition(n, base + ((n,),)))
+            return
+        for pos, b in enumerate(growable):
+            blocks[b].append(i)
+            rec(i + 1, growable[: pos + 1] if noncrossing else growable)
+            blocks[b].pop()
+        blocks.append([i])
+        rec(i + 1, growable + [len(blocks) - 1])
+        blocks.pop()
+
+    rec(1, [])
+    return results
 
 
 def set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of [n] in restricted-growth-string order."""
     check_size(n, SET_PARTITION_LIMIT, "set partition enumeration supports")
-    results = []
-    blocks: list[list[int]] = []
-
-    # element i joins each open block in turn, then a new one: growth-string
-    # order.  Elements arrive increasing, so blocks come out sorted and
-    # ordered by least element, canonical as built; n is placed in bulk
-    def rec(i):
-        if i == n:
-            results.extend(_with_last(n, tuple(map(tuple, blocks)), range(len(blocks))))
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(1)
-    return results
+    return _restricted_growth(n, noncrossing=False)
 
 
 def is_noncrossing(partition: SetPartition) -> bool:
@@ -219,30 +231,7 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
     Bell number.
     """
     check_size(n, NONCROSSING_PARTITION_LIMIT, "noncrossing enumeration supports")
-    results = []
-    blocks: list[list[int]] = []
-
-    # Elements are placed in increasing order, each into a block that can
-    # still grow or into a new one.  Joining i to a block encloses every
-    # block whose last element lies between that block's last element
-    # and i, and those can take no later element without crossing.  The
-    # blocks that can still grow are kept ordered by least element, which
-    # is also their order by last element, so the choices come out in
-    # restricted-growth-string order.  Element n is placed in bulk.
-    def rec(i, growable):
-        if i == n:
-            results.extend(_with_last(n, tuple(map(tuple, blocks)), growable))
-            return
-        for pos, b in enumerate(growable):
-            blocks[b].append(i)
-            rec(i + 1, growable[: pos + 1])
-            blocks[b].pop()
-        blocks.append([i])
-        rec(i + 1, growable + [len(blocks) - 1])
-        blocks.pop()
-
-    rec(1, [])
-    return results
+    return _restricted_growth(n, noncrossing=True)
 
 
 def is_interval(partition: SetPartition) -> bool:
@@ -252,6 +241,7 @@ def is_interval(partition: SetPartition) -> bool:
 
 def interval_partitions(n: int) -> list[SetPartition]:
     check_size(n, INTERVAL_PARTITION_LIMIT, "interval partition enumeration supports")
+    # own composition enumerator: _restricted_growth with one growable block ran about 2x slower
     out = []
     # runs of consecutive integers, left to right: canonical as built.
     # runs[s] holds s..e for e = s..n, built once; the last ends the partition

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import d_lambda, falling_factorial, integer_partitions
+from .partitions import check_size, d_lambda, falling_factorial, integer_partitions
 from .series import Frozen, TruncatedSeries, _setattr, as_fraction, exact_json
 
 
@@ -329,8 +329,7 @@ def abel_oracle(
 
         c_n = sum_j C(n-1, j) a_{j+1} nu_{n-1-j}.
     """
-    if not 1 <= n <= moments.order:
-        raise ValueError(f"n must lie in 1..{moments.order}")
+    check_size(n, moments.order, "the Abel oracle needs")
     g_n = multipliers.g(n)
     powered = moments.to_egf().power(-g_n)
     nu = [math.factorial(k) * powered.coeffs[k] for k in range(n)]
@@ -358,10 +357,8 @@ def abel_copy_oracle(moments: MomentSequence, k: int, n: int) -> Fraction:
     the k-fold sum is expanded over integer compositions, so no partition
     formula and no series powering is reused.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("copy oracle needs a nonnegative integer multiplier")
-    if not 1 <= n <= moments.order:
-        raise ValueError(f"n must lie in 1..{moments.order}")
+    check_size(k, math.inf, "the copy oracle needs a multiplier", least=0)
+    check_size(n, moments.order, "the copy oracle needs")
     inv = [Fraction(1)]
     for m in range(1, n):
         inv.append(
@@ -421,10 +418,8 @@ class CumulantMatrix(Frozen):
 
 def cumulant_matrix(moments: MomentSequence, nmax: int, kmax: int) -> CumulantMatrix:
     """Table c_{n,k} of k-th constant-multiplier cumulants of the input."""
-    if not 1 <= nmax <= moments.order:
-        raise ValueError(f"nmax must lie in 1..{moments.order}")
-    if kmax < 1:
-        raise ValueError("kmax must be positive")
+    check_size(nmax, moments.order, "cumulant matrix rows need")
+    check_size(kmax, math.inf, "cumulant matrix columns need")
     rows = []
     for n in range(1, nmax + 1):
         row = _bell_row(moments.values, n, ordinary=False)  # one row serves every k

@@ -20,10 +20,16 @@ from cumulants.lattice import (
     mobius_function,
     verify_theorem,
 )
-from cumulants.parking import enumerate_parking, volume_bruteforce_symmetric
+from cumulants.parking import (
+    enumerate_parking,
+    orbit_moment_eval,
+    volume_bruteforce_symmetric,
+    volume_shape_eval,
+)
 from cumulants.partitions import (
     Lattice,
     SetPartition,
+    integer_partitions,
     interval_partitions,
     kreweras_complement,
     leq_refinement,
@@ -35,11 +41,15 @@ from cumulants.partitions import (
 from cumulants.series import TruncatedSeries
 from cumulants.transforms import (
     MomentSequence,
+    MultiplierSequence,
+    abel_copy_oracle,
+    abel_oracle,
     boolean_from_moments,
     classical_from_moments,
     free_from_moments,
     moments_from_boolean,
     moments_from_classical,
+    cumulant_matrix,
     moments_from_free,
     named_sequence,
 )
@@ -348,3 +358,33 @@ def test_sizes_must_be_plain_integers():
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(n)
         call(2)
+
+
+_U3 = MomentSequence.constant(1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, least",
+    [
+        (integer_partitions, 0),
+        (lambda n: volume_shape_eval(_U3, n), 1),
+        (lambda n: orbit_moment_eval(_U3, n), 1),
+        (lambda n: abel_oracle(_U3, MultiplierSequence.constant(1, 3), n), 1),
+        (lambda n: abel_copy_oracle(_U3, 2, n), 1),
+        (lambda n: abel_copy_oracle(_U3, n, 1), 0),
+        (lambda n: cumulant_matrix(_U3, n, 2), 1),
+        (lambda n: cumulant_matrix(_U3, 2, n), 1),
+    ],
+    ids=[
+        "integer_partitions", "volume_shape_eval", "orbit_moment_eval", "abel_oracle",
+        "abel_copy_oracle", "abel_copy_oracle-k", "cumulant_matrix-nmax", "cumulant_matrix-kmax",
+    ],
+)
+def test_degrees_take_the_size_rule(call, least):
+    # degrees go through the same rule as sizes: True and 2.0 are refused
+    # with a ValueError, not read as 1 or left to fail with a TypeError
+    for n in (True, False, 2.0, "2", least - 1):
+        with pytest.raises(ValueError, match=rf"^.* {least} <= n <= \S+$"):
+            call(n)
+    call(least)
+    call(2)

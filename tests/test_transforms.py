@@ -580,3 +580,37 @@ def test_dot_operation_series_oracle():
         a = random_seq(rng, 7)
         egf = factorial_moments(gamma).to_egf().compose(a.to_egf() - 1)
         assert dot_operation(gamma, a) == MomentSequence.from_egf(egf)
+
+
+def test_closed_form_anchors():
+    # identities that share no code with the shape sums or the series layer:
+    # Poisson (Bell) and semicircle (Catalan) moments, the constant-one
+    # sequence, the paper's Abel form, and a point mass
+    N = 16
+    bells, row = [], [1]
+    for _ in range(N):  # Bell triangle: each row starts with the last entry of the one before
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+        bells.append(row[0])  # B_1..B_N
+    catalan = [1]  # C_0..C_N
+    for n in range(N):
+        catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))
+    u = MomentSequence.constant(1, N)
+    chi = seq(1, *[0] * (N - 1))
+    assert classical_from_moments(seq(*bells)) == u
+    assert free_from_moments(seq(*catalan[1:])) == u
+    assert boolean_from_moments(seq(*catalan[1:])) == seq(*catalan[:-1])
+    assert moments_from_classical(u) == seq(*bells)
+    assert moments_from_free(u) == seq(*catalan[1:])
+    assert moments_from_boolean(u) == seq(*[2 ** (n - 1) for n in range(1, N + 1)])
+    point = u.scaled(Fraction(-3, 2))
+    for m2c in (classical_from_moments, free_from_moments, boolean_from_moments):
+        assert m2c(u) == chi, m2c.__name__
+        assert m2c(point) == seq(Fraction(-3, 2), *[0] * (N - 1)), m2c.__name__
+    for k in range(5):
+        expected = seq(*[(1 - k) ** (n - 1) for n in range(1, N + 1)])
+        assert generalized_cumulants(u, MultiplierSequence.constant(k, N)) == expected, k
+    abel = seq(*[(1 - n) ** (n - 1) for n in range(1, N + 1)])
+    assert generalized_cumulants(u, MultiplierSequence.index(N)) == abel
