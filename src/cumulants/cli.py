@@ -401,7 +401,7 @@ def _suite_parametrization(n: int, seed: int) -> list:
 # name -> (largest n, suite); each suite returns its list of checks
 _SUITES = {
     "lattice": (CONVOLVE_LIMITS[Lattice.ALL], _suite_lattice),
-    "abel": (6, _suite_abel),
+    "abel": (12, _suite_abel),
     "volume": (PARKING_LIMIT, _suite_volume),
     "transport": (12, _suite_transport),
     "parametrization": (12, _suite_parametrization),

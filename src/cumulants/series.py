@@ -34,6 +34,12 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {value!r} as an exact coefficient")
 
 
+def _check_order(order, what: str = "order") -> None:
+    """Orders are plain ints: a bool or any other non-int is refused before use."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"{what} must be an integer, not {order!r}")
+
+
 def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
     """The integer 'order' and the exact entries under key of a JSON object.
 
@@ -43,8 +49,7 @@ def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
         order, raw = data["order"], data[key]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{kind} JSON needs 'order' and '{key}': {exc}") from exc
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ValueError(f"{kind} 'order' must be an integer, not {order!r}")
+    _check_order(order, f"{kind} 'order'")
     field = f"{kind} '{key}'"
     if not isinstance(raw, list):
         raise ValueError(f"{field} must be a JSON array")
@@ -110,6 +115,7 @@ class TruncatedSeries(Frozen):
     __slots__ = FIELDS = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
+        _check_order(order)
         if order < 0:
             raise ValueError("order must be nonnegative")
         cs = [as_fraction(c) for c in coeffs]
@@ -254,6 +260,8 @@ class TruncatedSeries(Frozen):
 
         Fractional exponents require constant term 1.
         """
+        if isinstance(exponent, bool):
+            raise ValueError(f"exponent must be a number, not {exponent!r}")
         if isinstance(exponent, int):
             if exponent < 0:
                 return self.reciprocal().power(-exponent)

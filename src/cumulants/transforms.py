@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 
 from .partitions import check_size, d_lambda, falling_factorial, integer_partitions
-from .series import Frozen, TruncatedSeries, _setattr, as_fraction, exact_json
+from .series import Frozen, TruncatedSeries, _check_order, _setattr, as_fraction, exact_json
 
 
 class MomentSequence(Frozen):
@@ -61,11 +61,13 @@ class MomentSequence(Frozen):
 
     @classmethod
     def constant(cls, value, order: int) -> "MomentSequence":
+        _check_order(order)
         return cls(tuple([as_fraction(value)] * order))
 
     @classmethod
     def index(cls, order: int) -> "MomentSequence":
         """a_n = n, the free-cumulant multiplier."""
+        _check_order(order)
         return cls(tuple(Fraction(k) for k in range(1, order + 1)))
 
     @property
@@ -80,25 +82,24 @@ class MomentSequence(Frozen):
 
     g = f = moment  # read as multipliers g_n or multiplicative-function values f_n
 
+    def _rescaled(self, factor) -> "MomentSequence":
+        """Entry n times factor(n), as a plain MomentSequence."""
+        return MomentSequence(tuple(factor(n) * v for n, v in enumerate(self.values, start=1)))
+
     def bar(self) -> "MomentSequence":
         """Factorial rescaling a_n -> n! a_n (read the EGF as an OGF)."""
-        return MomentSequence(
-            tuple(math.factorial(n) * v for n, v in enumerate(self.values, start=1))
-        )
+        return self._rescaled(math.factorial)
 
     def unbar(self) -> "MomentSequence":
-        return MomentSequence(
-            tuple(v / math.factorial(n) for n, v in enumerate(self.values, start=1))
-        )
+        return self._rescaled(lambda n: Fraction(1, math.factorial(n)))
 
     def scaled(self, j) -> "MomentSequence":
         """Moments of the rescaled sequence: entry n becomes j**n * a_n."""
         j = as_fraction(j)
-        return MomentSequence(
-            tuple(j**n * v for n, v in enumerate(self.values, start=1))
-        )
+        return self._rescaled(lambda n: j**n)
 
     def truncated(self, k: int) -> "MomentSequence":
+        _check_order(k, "truncation order")
         if not 0 <= k <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {k}")
         return MomentSequence(self.values[:k])
@@ -168,6 +169,7 @@ _NAMED = {
 
 def named_sequence(name: str, order: int) -> MomentSequence:
     """Built-in sequences: u, chi, epsilon, ubar, uD, bell, catalan."""
+    _check_order(order)
     if order < 0:
         raise ValueError("order must be nonnegative")
     try:
@@ -339,23 +341,15 @@ def abel_oracle(
     return total
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def abel_copy_oracle(moments: MomentSequence, k: int, n: int) -> Fraction:
     """Copy-expansion route for a nonnegative integer multiplier g_n = k.
 
     The subtracted letter is the additive inverse of k copies, i.e. k
     uncorrelated copies of the inverse sequence.  Inverse moments come from
-    the defining convolution identity sum_j C(m, j) a_j inv_{m-j} = 0, and
-    the k-fold sum is expanded over integer compositions, so no partition
-    formula and no series powering is reused.
+    the defining convolution identity sum_j C(m, j) a_j inv_{m-j} = 0; the k
+    copies are added one at a time to zero copies, moments (1, 0, ..., 0), by
+    (x + y)^m = sum_j C(m, j) x^j y^(m-j), so no partition formula and no
+    series powering is reused.
     """
     check_size(k, math.inf, "the copy oracle needs a multiplier", least=0)
     check_size(n, moments.order, "the copy oracle needs")
@@ -364,25 +358,15 @@ def abel_copy_oracle(moments: MomentSequence, k: int, n: int) -> Fraction:
         inv.append(
             -sum(math.comb(m, j) * moments.moment(j) * inv[m - j] for j in range(1, m + 1))
         )
-
-    def copy_sum_moment(m: int) -> Fraction:
-        if m == 0:
-            return Fraction(1)
-        if k == 0:
-            return Fraction(0)
-        total = Fraction(0)
-        for comp in _compositions(m, k):
-            coeff = math.factorial(m)
-            term = Fraction(1)
-            for part in comp:
-                coeff //= math.factorial(part)
-                term *= inv[part]
-            total += coeff * term
-        return total
-
+    copies = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for _ in range(k):
+        copies = [
+            sum(math.comb(m, j) * copies[j] * inv[m - j] for j in range(m + 1))
+            for m in range(n)
+        ]
     total = Fraction(0)
     for j in range(n):
-        total += math.comb(n - 1, j) * moments.moment(j + 1) * copy_sum_moment(n - 1 - j)
+        total += math.comb(n - 1, j) * moments.moment(j + 1) * copies[n - 1 - j]
     return total
 
 
@@ -492,24 +476,17 @@ def umbral_composition(
     return _shape_sums(inner, lambda n, l: outer.values[l - 1], ordinary=kind == "ogf")
 
 
-def _stirling_first(nmax: int) -> list[list[int]]:
-    # signed Stirling numbers of the first kind: (x)_n = sum_k s(n,k) x^k
-    s = [[0] * (nmax + 1) for _ in range(nmax + 1)]
-    s[0][0] = 1
-    for n in range(nmax):
-        for k in range(nmax + 1):
-            val = s[n][k - 1] if k >= 1 else 0
-            s[n + 1][k] = val - n * s[n][k]
-    return s
-
-
 def factorial_moments(moments: MomentSequence) -> MomentSequence:
-    """a_(n) = sum_k s(n, k) a_k with signed Stirling numbers of the first kind."""
-    n_max = moments.order
-    s = _stirling_first(n_max)
+    """a_(n) = sum_k s(n, k) a_k with signed Stirling numbers of the first kind.
+
+    Row s(n, .) holds the coefficients of (x)_n = (x)_(n-1) (x - n + 1), so
+    each degree's row comes from the last: s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k).
+    """
+    row = [1]  # s(0, 0)
     out = []
-    for n in range(1, n_max + 1):
-        out.append(sum(s[n][k] * moments.moment(k) for k in range(1, n + 1)))
+    for n in range(1, moments.order + 1):
+        row = [up - (n - 1) * same for up, same in zip([0] + row, row + [0])]
+        out.append(sum(s * a for s, a in zip(row[1:], moments.values)))
     return MomentSequence(tuple(out))
 
 

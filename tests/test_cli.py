@@ -435,7 +435,7 @@ def test_verify_suites_pass(capsys):
 
 
 def test_verify_range_is_checked_before_the_suite_runs(capsys, monkeypatch):
-    limits = {"lattice": 7, "abel": 6, "volume": 7, "transport": 12, "parametrization": 12}
+    limits = {"lattice": 7, "abel": 12, "volume": 7, "transport": 12, "parametrization": 12}
     for suite, limit in limits.items():
         monkeypatch.setitem(cli._SUITES, suite, (cli._SUITES[suite][0], None))  # never called
         for n in (0, limit + 1):
@@ -445,10 +445,16 @@ def test_verify_range_is_checked_before_the_suite_runs(capsys, monkeypatch):
 
 
 def test_verify_exit_codes(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "abel", "--n", "9")
+    code, out, err = run(capsys, "verify", "--suite", "abel", "--n", "13")
     assert code == 2 and out == ""
     code, out, err = run(capsys, "verify", "--suite", "lattice", "--n", "0")
     assert code == 2 and out == ""
+
+
+def test_abel_suite_runs_past_six(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "abel", "--n", "7")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cumulants.series import TruncatedSeries, as_fraction
-from cumulants.transforms import MomentSequence
+from cumulants.transforms import MomentSequence, named_sequence
 
 
 def F(x) -> Fraction:
@@ -23,6 +23,36 @@ def random_series(rng, order, constant=None, linear=None):
     if linear is not None:
         coeffs[1] = F(linear)
     return TruncatedSeries(order, coeffs)
+
+
+ORDER_TAKERS = {
+    "named_sequence": lambda order: named_sequence("u", order),
+    "constant": lambda order: MomentSequence.constant(1, order),
+    "index": MomentSequence.index,
+    "truncated": lambda order: MomentSequence.constant(1, 3).truncated(order),
+    "TruncatedSeries": lambda order: TruncatedSeries(order, [1]),
+    "power": lambda exponent: TruncatedSeries(2, [1, 1]).power(exponent),
+}
+
+
+@pytest.mark.parametrize(
+    "taker, order, message",
+    [
+        (name, order, f"order must be an integer, not {order!r}")
+        for name in ORDER_TAKERS if name != "power"
+        for order in (True, False, 2.0, "2")
+    ]
+    + [("power", flag, f"exponent must be a number, not {flag}") for flag in (True, False)]
+    + [
+        ("named_sequence", -1, "order must be nonnegative"),
+        ("TruncatedSeries", -1, "order must be nonnegative"),
+        ("truncated", -1, "cannot truncate order 3 to -1"),
+    ],
+)
+def test_orders_are_plain_integers(taker, order, message):
+    with pytest.raises(ValueError) as info:
+        ORDER_TAKERS[taker](order)
+    assert str(info.value).endswith(message)  # truncated says "truncation order"
 
 
 def test_constructor_pads_and_validates():

@@ -48,6 +48,13 @@ def random_seq(rng: random.Random, order: int) -> MomentSequence:
     )
 
 
+def wide_seq(rng, order: int) -> MomentSequence:
+    """Seeded 40-digit rationals."""
+    return MomentSequence.from_values(
+        [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(order)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # sequence plumbing
 
@@ -369,6 +376,61 @@ def test_abel_series_oracle_to_order_eight():
         assert abel_oracle(a, g, n) == by_partitions.values[n - 1]
 
 
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def copy_oracle_by_compositions(a: MomentSequence, k: int, n: int) -> Fraction:
+    """Reference: the copy oracle's earlier form, the k-fold sum of inverse
+    copies expanded over every composition of m into k parts."""
+    inv = [Fraction(1)]
+    for m in range(1, n):
+        inv.append(-sum(math.comb(m, j) * a.moment(j) * inv[m - j] for j in range(1, m + 1)))
+
+    def copy_sum_moment(m: int) -> Fraction:
+        if m == 0:
+            return Fraction(1)
+        if k == 0:
+            return Fraction(0)
+        total = Fraction(0)
+        for comp in _compositions(m, k):
+            coeff = math.factorial(m)
+            term = Fraction(1)
+            for part in comp:
+                coeff //= math.factorial(part)
+                term *= inv[part]
+            total += coeff * term
+        return total
+
+    return sum(
+        math.comb(n - 1, j) * a.moment(j + 1) * copy_sum_moment(n - 1 - j) for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("draw", [random_seq, wide_seq], ids=["small", "wide"])
+def test_copy_oracle_matches_the_composition_expansion(draw):
+    rng = random.Random(34)
+    for n in range(1, 8):
+        for k in range(7):
+            a = draw(rng, n)
+            assert abel_copy_oracle(a, k, n) == copy_oracle_by_compositions(a, k, n)
+
+
+def test_copy_oracle_reaches_the_abel_form_at_twelve():
+    # g_n = n at n = 12: 1,352,078 compositions for the earlier expansion
+    rng = random.Random(35)
+    for draw in (random_seq, wide_seq):
+        a = draw(rng, 12)
+        assert abel_copy_oracle(a, 12, 12) == generalized_cumulants(
+            a, MultiplierSequence.index(12)
+        ).values[11]
+
+
 def test_abel_oracle_errors():
     a = seq(1, 2)
     g = MultiplierSequence.constant(1, 2)
@@ -540,6 +602,28 @@ def test_factorial_moments():
     x = Fraction(5)
     powers = MomentSequence.from_values([x**n for n in range(1, 5)])
     assert factorial_moments(powers) == seq(5, 20, 60, 120)
+
+
+def stirling_first_table(nmax: int) -> list[list[int]]:
+    """Reference: the full (nmax + 1)^2 table of signed Stirling numbers of
+    the first kind, (x)_n = sum_k s(n, k) x^k, that factorial_moments once built."""
+    s = [[0] * (nmax + 1) for _ in range(nmax + 1)]
+    s[0][0] = 1
+    for n in range(nmax):
+        for k in range(nmax + 1):
+            val = s[n][k - 1] if k >= 1 else 0
+            s[n + 1][k] = val - n * s[n][k]
+    return s
+
+
+@pytest.mark.parametrize("draw", [random_seq, wide_seq], ids=["small", "wide"])
+def test_factorial_moments_match_the_stirling_table(draw):
+    rng = random.Random(36)
+    s = stirling_first_table(30)
+    for order in (1, 2, 7, 30):
+        a = draw(rng, order)
+        expected = [sum(s[n][k] * a.moment(k) for k in range(1, n + 1)) for n in range(1, order + 1)]
+        assert factorial_moments(a) == MomentSequence.from_values(expected)
 
 
 def test_dot_operation_identity_and_bell():
