@@ -233,13 +233,12 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
 
     def composition_pairs():
         if name == "T1":
-            lattice, outer, inner = Lattice.ALL, f_mf.to_egf(), g_mf.to_egf()
+            lattice, to, read = Lattice.ALL, MomentSequence.to_egf, MomentSequence.from_egf
         else:
-            lattice, outer, inner = Lattice.INTERVAL, f_mf.to_ogf(), g_mf.to_ogf()
-        composed = outer.compose(inner - 1)
-        for m in range(1, n + 1):
-            scale = math.factorial(m) if name == "T1" else 1
-            yield scale * composed.coeffs[m], convolve_lattice(g_mf, f_mf, m, lattice)
+            lattice, to, read = Lattice.INTERVAL, MomentSequence.to_ogf, MomentSequence.from_ogf
+        composed = read(to(f_mf).compose(to(g_mf) - 1))
+        for m, expected in enumerate(composed.values, start=1):
+            yield expected, convolve_lattice(g_mf, f_mf, m, lattice)
 
     def free_pairs():
         mu_nc = mobius_function(n, Lattice.NC)

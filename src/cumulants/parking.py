@@ -2,9 +2,9 @@
 
 The volume polynomial of the standard simplex admits two expansions: the
 brute-force average over parking functions and a closed sum over integer
-shapes.  Evaluated symmetrically at a barred free-cumulant sequence, the
-shape sum returns barred moments, which puts parking-function geometry and
-the free moment/cumulant transform in one picture.
+shapes.  Evaluated symmetrically at barred free cumulants, the shape sum
+V_n is the moment m_n and n! V_n the barred one, which puts parking
+functions and the free moment/cumulant transform in one picture.
 """
 
 from __future__ import annotations
@@ -157,13 +157,11 @@ def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
 def moments_via_volume(moments: MomentSequence) -> MomentSequence:
     """Round trip moments -> free cumulants -> volume evaluation -> moments.
 
-    Bars the free cumulants, evaluates the degree-n volume polynomial
-    symmetrically (giving the barred n-th moment after the n! prefactor),
-    then unbars.  Must reproduce the input exactly.
+    Bars the free cumulants and evaluates the degree-n volume polynomial
+    symmetrically there: V_n(bar r) is the moment m_n (n! V_n(bar r) is
+    the barred moment).  Must reproduce the input exactly.
     """
     barred_cumulants = free_from_moments(moments).bar()
-    barred = [
-        math.factorial(n) * volume_shape_eval(barred_cumulants, n)
-        for n in range(1, moments.order + 1)
-    ]
-    return MomentSequence.from_values(barred).unbar()
+    return MomentSequence.from_values(
+        volume_shape_eval(barred_cumulants, n) for n in range(1, moments.order + 1)
+    )

@@ -34,10 +34,17 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {value!r} as an exact coefficient")
 
 
-def _check_order(order, what: str = "order") -> None:
+def _check_int(value, what: str) -> None:
     """Orders are plain ints: a bool or any other non-int is refused before use."""
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ValueError(f"{what} must be an integer, not {order!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
+def _check_order(order) -> None:
+    """The order of a new sequence or series: a plain int, at least 0."""
+    _check_int(order, "order")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
 
 
 def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
@@ -49,7 +56,7 @@ def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
         order, raw = data["order"], data[key]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{kind} JSON needs 'order' and '{key}': {exc}") from exc
-    _check_order(order, f"{kind} 'order'")
+    _check_int(order, f"{kind} 'order'")
     field = f"{kind} '{key}'"
     if not isinstance(raw, list):
         raise ValueError(f"{field} must be a JSON array")
@@ -116,8 +123,6 @@ class TruncatedSeries(Frozen):
 
     def __init__(self, order: int, coeffs=()):
         _check_order(order)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
         cs = [as_fraction(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError(

@@ -40,7 +40,9 @@ import math
 from fractions import Fraction
 
 from .partitions import check_size, d_lambda, falling_factorial, integer_partitions
-from .series import Frozen, TruncatedSeries, _check_order, _setattr, as_fraction, exact_json
+from .series import (
+    Frozen, TruncatedSeries, _check_int, _check_order, _setattr, as_fraction, exact_json,
+)
 
 
 class MomentSequence(Frozen):
@@ -99,7 +101,7 @@ class MomentSequence(Frozen):
         return self._rescaled(lambda n: j**n)
 
     def truncated(self, k: int) -> "MomentSequence":
-        _check_order(k, "truncation order")
+        _check_int(k, "truncation order")
         if not 0 <= k <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {k}")
         return MomentSequence(self.values[:k])
@@ -116,13 +118,8 @@ class MomentSequence(Frozen):
 
     @classmethod
     def from_egf(cls, series: TruncatedSeries) -> "MomentSequence":
-        if series.coeffs[0] != 1:
-            raise ValueError("moment generating function must start at 1")
-        return cls(
-            tuple(
-                math.factorial(n) * c for n, c in enumerate(series.coeffs[1:], start=1)
-            )
-        )
+        """The sequence n! [t^n] series: the OGF reading, barred."""
+        return cls(MomentSequence.from_ogf(series).bar().values)
 
     @classmethod
     def from_ogf(cls, series: TruncatedSeries) -> "MomentSequence":
@@ -170,8 +167,6 @@ _NAMED = {
 def named_sequence(name: str, order: int) -> MomentSequence:
     """Built-in sequences: u, chi, epsilon, ubar, uD, bell, catalan."""
     _check_order(order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     try:
         gen = _NAMED[name]
     except KeyError:
@@ -226,11 +221,8 @@ def moments_from_classical(cumulants: MomentSequence) -> MomentSequence:
 
 
 def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
-    """Oracle: cumulants are the EGF coefficients of log of the moment EGF."""
-    logs = moments.to_egf().log()
-    return MomentSequence(
-        tuple(math.factorial(n) * logs.coeffs[n] for n in range(1, moments.order + 1))
-    )
+    """Oracle: the cumulant EGF, 1 + C, is 1 + log of the moment EGF."""
+    return MomentSequence.from_egf(moments.to_egf().log() + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +240,8 @@ def moments_from_boolean(cumulants: MomentSequence) -> MomentSequence:
 
 
 def boolean_from_moments_series(moments: MomentSequence) -> MomentSequence:
-    """Oracle: H = 1 - 1/M on ordinary generating functions."""
-    recip = moments.to_ogf().reciprocal()
-    return MomentSequence(
-        tuple(-recip.coeffs[n] for n in range(1, moments.order + 1))
-    )
+    """Oracle: H = 1 - 1/M on ordinary generating functions, so 1 + H = 2 - 1/M."""
+    return MomentSequence.from_ogf(2 - moments.to_ogf().reciprocal())
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +319,13 @@ def abel_oracle(
     EGF, then expands delta (delta - g_n . a)^(n-1) binomially, so
 
         c_n = sum_j C(n-1, j) a_{j+1} nu_{n-1-j}.
+
+    Only nu_0..nu_(n-1) enter, so f is powered at order n - 1: truncation
+    commutes with every series operation, and the values are those at order N.
     """
     check_size(n, moments.order, "the Abel oracle needs")
-    g_n = multipliers.g(n)
-    powered = moments.to_egf().power(-g_n)
-    nu = [math.factorial(k) * powered.coeffs[k] for k in range(n)]
+    powered = moments.truncated(n - 1).to_egf().power(-multipliers.g(n))
+    nu = (1,) + MomentSequence.from_egf(powered).values
     total = Fraction(0)
     for j in range(n):
         total += math.comb(n - 1, j) * moments.moment(j + 1) * nu[n - 1 - j]
@@ -452,8 +443,7 @@ def boolean_free_transport(moments: MomentSequence) -> MomentSequence:
     their transported sequences, which is what makes the free central limit
     behave boolean-ly after this change of coordinates.
     """
-    r = free_from_moments(moments)
-    return MomentSequence(r.to_ogf().reciprocal().coeffs[1:])
+    return MomentSequence.from_ogf(free_from_moments(moments).to_ogf().reciprocal())
 
 
 # ---------------------------------------------------------------------------

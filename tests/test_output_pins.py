@@ -4,7 +4,9 @@ Each digest hashes the compact JSON of one map's output on seeded small
 rationals (numerators -6..6 over 1..4) or seeded 40-digit rationals, so
 any change to an output bit fails the pin that names the map, the order
 and the seed.  The lattice oracles run at their size limits; the Moebius
-recursion takes no input, so it has one pin per lattice.
+recursion takes no input, so it has one pin per lattice.  The reports of
+`verify_theorem` are pinned the same way, at every n it accepts, so a
+change to either side that breaks a theorem check fails its pin.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import pytest
 
 from cumulants.lattice import (
     CONVOLVE_LIMITS,
+    THEOREM_LIMIT,
     MultiplicativeFunction,
     convolve_lattice,
     mobius_by_recursion,
+    verify_theorem,
 )
 from cumulants.parking import orbit_moment_eval, volume_shape_eval
 from cumulants.partitions import Lattice
@@ -237,4 +241,79 @@ def test_output_matches_its_pin(name, kind, seed, order):
     output = MAPS[name](*_inputs(kind, seed, order))
     assert _digest(output) == PINS[name, kind, seed, order], (
         f"{name} changed its output at order {order}, seed {seed} ({kind} rationals)"
+    )
+
+
+# theorem, n, seed, and the SHA-256 of json.dumps of the report
+_THEOREM_TABLE = """
+T1 1 0 008ab195900c4da8fab83992d75c5c7a77139f5c6a50f8897eea191a78748bb7
+T1 1 5 008ab195900c4da8fab83992d75c5c7a77139f5c6a50f8897eea191a78748bb7
+T1 2 0 9a61ee8e5e1e7f228f3ab8eabdcf7e3dad72c1796e261e0484bc7e4ac1b924fe
+T1 2 5 9a61ee8e5e1e7f228f3ab8eabdcf7e3dad72c1796e261e0484bc7e4ac1b924fe
+T1 3 0 a1439b7fd1610a60f280a25914d88e6231ad75e5b5e41d23599a61267c0181ec
+T1 3 5 a1439b7fd1610a60f280a25914d88e6231ad75e5b5e41d23599a61267c0181ec
+T1 4 0 073437ccd45636117029962f10a197cbd12a53a4639f2d08ea6d6ff82eeac5a8
+T1 4 5 073437ccd45636117029962f10a197cbd12a53a4639f2d08ea6d6ff82eeac5a8
+T1 5 0 746ebdd9f9a4bab41283e7a09b907661819cdddbd526c77d65278700b4d0c157
+T1 5 5 746ebdd9f9a4bab41283e7a09b907661819cdddbd526c77d65278700b4d0c157
+T1 6 0 753fe149b2ff7cc36300baf7afb88bbe74de0c3bed0b8c8c41f103de9affa479
+T1 6 5 753fe149b2ff7cc36300baf7afb88bbe74de0c3bed0b8c8c41f103de9affa479
+T2 1 0 e519876d141de26cd95e3dae6a2595d9c62330ac863f4fa7e4bb06e279158449
+T2 1 5 e519876d141de26cd95e3dae6a2595d9c62330ac863f4fa7e4bb06e279158449
+T2 2 0 e63ef2fa6130e0026137301313012bd4ed979b94441f97908d643f60cecbd23a
+T2 2 5 e63ef2fa6130e0026137301313012bd4ed979b94441f97908d643f60cecbd23a
+T2 3 0 cf0430017fbc1a91998ac82e3f871b5be5321158008504cc85c047c5351d16cb
+T2 3 5 cf0430017fbc1a91998ac82e3f871b5be5321158008504cc85c047c5351d16cb
+T2 4 0 2a1176f3c46957f419b9b93f5314b720e42b0973b542051b3ef217d8c96dec48
+T2 4 5 2a1176f3c46957f419b9b93f5314b720e42b0973b542051b3ef217d8c96dec48
+T2 5 0 980124c1fff074348e3516ed5a19653ebeeba93c43500b6e25c969ecf423bd93
+T2 5 5 980124c1fff074348e3516ed5a19653ebeeba93c43500b6e25c969ecf423bd93
+T2 6 0 56014a8aeb2bebca6c6ee2c0a08b626cf6aca3192b24e6b6e069e5e00df4ac65
+T2 6 5 56014a8aeb2bebca6c6ee2c0a08b626cf6aca3192b24e6b6e069e5e00df4ac65
+T3 1 0 b1734afd5165cdb9c03233b4852c97eb1bbae31d2c697ba36174761e2dbde96f
+T3 1 5 b1734afd5165cdb9c03233b4852c97eb1bbae31d2c697ba36174761e2dbde96f
+T3 2 0 27902f626e0a943140a2bc21aeee07eec618bca1564525b6db7d32eeb0a341c8
+T3 2 5 27902f626e0a943140a2bc21aeee07eec618bca1564525b6db7d32eeb0a341c8
+T3 3 0 b06fe2b03916a3486b3ee76a97542cdab23a3a9b5d2d2f16af0f1f1fcbc603d0
+T3 3 5 b06fe2b03916a3486b3ee76a97542cdab23a3a9b5d2d2f16af0f1f1fcbc603d0
+T3 4 0 bcfa67192ff32c378829b78b0799cbfcc0793dbe321f59fbbe302e0a5a50f5b4
+T3 4 5 bcfa67192ff32c378829b78b0799cbfcc0793dbe321f59fbbe302e0a5a50f5b4
+T3 5 0 b694f248f2e53e3d7d8b92afa3f40c5f83471e59b500d47a84a55c5b32dad0b7
+T3 5 5 b694f248f2e53e3d7d8b92afa3f40c5f83471e59b500d47a84a55c5b32dad0b7
+T3 6 0 9668e1f4a47ecd4b4c01ebae81ea82fc657a88bbf149810deedf7f6bb83ba9c7
+T3 6 5 9668e1f4a47ecd4b4c01ebae81ea82fc657a88bbf149810deedf7f6bb83ba9c7
+COMMUTATIVITY 1 0 82fca7629b18b3a880cba6563b86fa61800fa1fc0dacb915fbf9e3b2a92ce31c
+COMMUTATIVITY 1 5 82fca7629b18b3a880cba6563b86fa61800fa1fc0dacb915fbf9e3b2a92ce31c
+COMMUTATIVITY 2 0 182d81fd134bde222407b15776612b586f9e02a46c87aafdb9a2a3d2e31a0fe5
+COMMUTATIVITY 2 5 182d81fd134bde222407b15776612b586f9e02a46c87aafdb9a2a3d2e31a0fe5
+COMMUTATIVITY 3 0 2c94f71eb0fc8e7a3e3cd7597a8dbf2076612c54ffeb1b35407249e66f0ac0ee
+COMMUTATIVITY 3 5 2c94f71eb0fc8e7a3e3cd7597a8dbf2076612c54ffeb1b35407249e66f0ac0ee
+COMMUTATIVITY 4 0 dfcc0c735a1f341bb93b6785cdbba80156f4d5b7866cbf8147726da199668c69
+COMMUTATIVITY 4 5 dfcc0c735a1f341bb93b6785cdbba80156f4d5b7866cbf8147726da199668c69
+COMMUTATIVITY 5 0 cb30d46bb5b22778d69e3e54eaddb2f2ceb81d594f7602d5e9f588a7dcdb2e10
+COMMUTATIVITY 5 5 cb30d46bb5b22778d69e3e54eaddb2f2ceb81d594f7602d5e9f588a7dcdb2e10
+COMMUTATIVITY 6 0 9ced5099e1e161aa33840c2a3645988b0aabef5309e80e152bde9057580e52f2
+COMMUTATIVITY 6 5 9ced5099e1e161aa33840c2a3645988b0aabef5309e80e152bde9057580e52f2
+"""
+THEOREM_PINS = {
+    (which, int(n), int(seed)): digest
+    for which, n, seed, digest in map(str.split, _THEOREM_TABLE.strip().splitlines())
+}
+
+
+def test_every_theorem_is_pinned_at_every_n():
+    assert set(THEOREM_PINS) == {
+        (which, n, seed)
+        for which in ("T1", "T2", "T3", "COMMUTATIVITY")
+        for n in range(1, THEOREM_LIMIT + 1)
+        for seed in (0, 5)
+    }
+
+
+@pytest.mark.parametrize("which, n, seed", sorted(THEOREM_PINS), ids=lambda v: str(v))
+def test_theorem_report_matches_its_pin(which, n, seed):
+    report = verify_theorem(n, which, seed)
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == THEOREM_PINS[which, n, seed], (
+        f"verify_theorem({n}, {which!r}, {seed}) changed its report: {report}"
     )

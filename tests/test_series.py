@@ -45,6 +45,8 @@ ORDER_TAKERS = {
     + [("power", flag, f"exponent must be a number, not {flag}") for flag in (True, False)]
     + [
         ("named_sequence", -1, "order must be nonnegative"),
+        ("constant", -1, "order must be nonnegative"),
+        ("index", -1, "order must be nonnegative"),
         ("TruncatedSeries", -1, "order must be nonnegative"),
         ("truncated", -1, "cannot truncate order 3 to -1"),
     ],
