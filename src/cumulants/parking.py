@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import IntegerPartition, check_size, falling_factorial
+from .partitions import IntegerPartition, check_size
 from .series import as_fraction
-from .transforms import MomentSequence, _free_weight, _shape_sum, free_from_moments
+from .transforms import MomentSequence, _abel_weight, _shape_sum, free_from_moments
 
 PARKING_LIMIT = 7
 
@@ -134,24 +134,22 @@ def volume_shape_eval(seq: MomentSequence, n: int) -> Fraction:
 
     V_n = sum over shapes lambda of n of (1/lambda!) (n)_(l-1) / m(lambda)!
     times the monomial of shape lambda; symmetric substitution sends that
-    monomial to the product of sequence entries over the parts.  Since
-    d_lambda = n! / (lambda! m(lambda)!), that is sum_l (n)_(l-1)/n! B_{n,l}.
+    monomial to the product of sequence entries over the parts: sum_l
+    (n)_(l-1)/l! B^ord_{n,l}(a_k/k!), the free-moment polynomial read unbarred.
     """
     check_size(n, seq.order, "volume shape sums need")
-    return _shape_sum(
-        seq.values, n, lambda n, l: Fraction(falling_factorial(n, l - 1), math.factorial(n))
-    )
+    return _shape_sum(seq.unbar().values, n, _abel_weight)
 
 
 def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
     """One-per-orbit polynomial evaluated at free cumulants gives moments.
 
     R_n = sum over shapes of (n)_(l-1) / m(lambda)! times one orbit
-    representative monomial, the ordinary row weighted like moments_from_free;
-    at a free cumulant sequence this reproduces the n-th moment.
+    representative monomial: the Abel weight (n)_(l-1)/l! on the ordinary row,
+    as in moments_from_free.  At free cumulants it gives the n-th moment.
     """
     check_size(n, cumulants.order, "orbit shape sums need")
-    return _shape_sum(cumulants.values, n, _free_weight, ordinary=True)
+    return _shape_sum(cumulants.values, n, _abel_weight)
 
 
 def moments_via_volume(moments: MomentSequence) -> MomentSequence:

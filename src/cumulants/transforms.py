@@ -1,31 +1,29 @@
 """Moment/cumulant transforms: classical, boolean, free, and the unified family.
 
-Every partition sum here is one weighted row of a partial Bell polynomial
-(Comtet, Advanced Combinatorics, 3.3):
+Every partition sum here is one weighted row of the ordinary partial Bell
+polynomial (Comtet, Advanced Combinatorics, 3.3):
 
     c_n = sum_l w(n, l) B_{n,l}(a),   B_{n,l}(a) = sum over shapes lambda of n
-                                                   with l parts of s(lambda) a_lambda
+                                                   with l parts of l!/m(lambda)! a_lambda
 
-where a_lambda is the product of the sequence over the parts, and s(lambda)
-is d_lambda, the set partitions of that shape (the exponential row), or
-l!/m(lambda)!, its compositions or interval partitions (the ordinary row, B^ord).
-Only _bell_row enumerates shapes; each map fixes a row and a weight of n, l:
+where a_lambda is the product of the sequence over the parts.  The exponential
+row, which counts set partitions (d_lambda) instead of compositions, is
+n!/l! B_{n,l}(a_k/k!), so the exponential maps read their input unbarred and
+bar their output.  Only _bell_row enumerates shapes, and every cumulant weight
+is the Abel weight (x)_(l-1)/l! of _abel_weight:
 
-    exponential  (-1)^(l-1) (l-1)!   classical_from_moments
-                 1                   moments_from_classical
-                 (-g_n)_(l-1)        generalized_cumulants and its inverse, cumulant_matrix
-                 g_l / g_(l)         umbral_composition egf / dot_operation
-                 (n)_(l-1) / n!      parking.volume_shape_eval
-    ordinary     (-1)^(l-1)          boolean_from_moments
-                 (-n)_(l-1) / l!     free_from_moments
-                 (n)_(l-1) / l!      moments_from_free, parking.orbit_moment_eval
-                 g_l                 umbral_composition ogf
+    x = -1      classical_from_moments (unbarred)
+    x = -2, -n  boolean_from_moments, free_from_moments
+    x = -g_n    generalized_cumulants and its inverse (unbarred)
+    x = -k      cumulant_matrix (unbarred)
+    x = n       moments_from_free, parking.orbit_moment_eval, and
+                parking.volume_shape_eval (unbarred)
 
-So the complete Bell polynomial and the Pitman-Stanley volume polynomial are
-the same exponential row, weighted by w = 1 and by w = (n)_(l-1)/n!.  In the
-unified family, g == 1 gives classical cumulants, g == 2 on factorially
-rescaled ("barred") sequences boolean ones, g_n == n on barred sequences
-free ones.
+The other weights are 1/l! (moments_from_classical) and g_(l)/l!
+(dot_operation), both unbarred, and g_l (umbral_composition).  So g == 1 gives
+classical cumulants, g == 2 on factorially rescaled ("barred") sequences
+boolean ones, g_n == n on barred sequences free ones, and the Pitman-Stanley
+volume polynomial is the free-moment polynomial read at a_k/k!.
 
 Each closed form ships with an independent generating-function oracle:
 log/exp of the exponential generating function for the classical pair,
@@ -39,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import check_size, d_lambda, falling_factorial, integer_partitions
+from .partitions import check_size, falling_factorial, integer_partitions
 from .series import (
     Frozen, TruncatedSeries, _check_int, _check_order, _setattr, as_fraction, exact_json,
 )
@@ -78,9 +76,9 @@ class MomentSequence(Frozen):
 
     def moment(self, k: int) -> Fraction:
         """a_k, with a_0 = 1."""
-        if k == 0:
-            return Fraction(1)
-        return self.values[k - 1]
+        if not 0 <= k <= len(self.values):
+            raise ValueError(f"index {k} outside 0..{self.order}")
+        return self.values[k - 1] if k else Fraction(1)
 
     g = f = moment  # read as multipliers g_n or multiplicative-function values f_n
 
@@ -181,29 +179,32 @@ def _check_orders(a, b) -> None:
         raise ValueError(f"sequence order mismatch: {a.order} != {b.order}")
 
 
-def _bell_row(values, n: int, ordinary: bool) -> list[Fraction]:
-    """B_{n,0..n}(values), exponential or ordinary: the one loop over the shapes of n."""
+def _bell_row(values, n: int) -> list[Fraction]:
+    """B^ord_{n,0..n}(values): the one loop over the shapes of n."""
     row = [Fraction(0)] * (n + 1)
     for shape in integer_partitions(n):
         parts = shape.parts
-        term = math.factorial(len(parts)) // shape.mult_factorial if ordinary else d_lambda(shape)
+        term = math.factorial(len(parts)) // shape.mult_factorial
         for part in parts:
             term *= values[part - 1]
         row[len(parts)] += term
     return row
 
 
-def _shape_sum(values, n: int, weight, ordinary: bool = False) -> Fraction:
-    """sum_l weight(n, l) * B_{n,l}(values): every partition-sum formula."""
-    row = _bell_row(values, n, ordinary)
+def _shape_sum(values, n: int, weight) -> Fraction:
+    """sum_l weight(n, l) * B^ord_{n,l}(values): every partition-sum formula."""
+    row = _bell_row(values, n)
     return sum((weight(n, l) * row[l] for l in range(1, n + 1)), Fraction(0))
 
 
-def _shape_sums(seq: MomentSequence, weight, ordinary: bool = False) -> MomentSequence:
+def _shape_sums(seq: MomentSequence, weight) -> MomentSequence:
     """The shape sums of seq at every degree 1..N."""
-    return MomentSequence(
-        tuple(_shape_sum(seq.values, n, weight, ordinary) for n in range(1, seq.order + 1))
-    )
+    return MomentSequence(tuple(_shape_sum(seq.values, n, weight) for n in range(1, seq.order + 1)))
+
+
+def _abel_weight(x, l: int) -> Fraction:
+    """(x)_(l-1) / l!: the cumulant weight of multiplier -x on the ordinary row."""
+    return Fraction(falling_factorial(x, l - 1), math.factorial(l))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +212,13 @@ def _shape_sums(seq: MomentSequence, weight, ordinary: bool = False) -> MomentSe
 
 
 def classical_from_moments(moments: MomentSequence) -> MomentSequence:
-    """c_n = sum_l (-1)^(l-1) (l-1)! B_{n,l}(a)."""
-    return _shape_sums(moments, lambda n, l: (-1) ** (l - 1) * math.factorial(l - 1))
+    """c_n / n! = sum_l (-1)_(l-1) / l! B^ord_{n,l}(a_k / k!)."""
+    return _shape_sums(moments.unbar(), lambda n, l: _abel_weight(-1, l)).bar()
 
 
 def moments_from_classical(cumulants: MomentSequence) -> MomentSequence:
-    """a_n = sum_l B_{n,l}(c), the complete Bell polynomial."""
-    return _shape_sums(cumulants, lambda n, l: 1)
+    """a_n / n! = sum_l 1/l! B^ord_{n,l}(c_k / k!), the complete Bell polynomial."""
+    return _shape_sums(cumulants.unbar(), lambda n, l: Fraction(1, math.factorial(l))).bar()
 
 
 def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
@@ -230,8 +231,8 @@ def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
 
 
 def boolean_from_moments(moments: MomentSequence) -> MomentSequence:
-    """h_n = sum_l (-1)^(l-1) B^ord_{n,l}(a)."""
-    return _shape_sums(moments, lambda n, l: (-1) ** (l - 1), ordinary=True)
+    """h_n = sum_l (-2)_(l-1) / l! B^ord_{n,l}(a), that is (-1)^(l-1)."""
+    return _shape_sums(moments, lambda n, l: _abel_weight(-2, l))
 
 
 def moments_from_boolean(cumulants: MomentSequence) -> MomentSequence:
@@ -248,19 +249,14 @@ def boolean_from_moments_series(moments: MomentSequence) -> MomentSequence:
 # free pair
 
 
-def _free_weight(n: int, l: int) -> Fraction:
-    """(n)_(l-1) / l! on the ordinary row; at -n it maps moments to free cumulants."""
-    return Fraction(falling_factorial(n, l - 1), math.factorial(l))
-
-
 def free_from_moments(moments: MomentSequence) -> MomentSequence:
     """r_n = sum_l (-n)_(l-1) / l! B^ord_{n,l}(a)."""
-    return _shape_sums(moments, lambda n, l: _free_weight(-n, l), ordinary=True)
+    return _shape_sums(moments, lambda n, l: _abel_weight(-n, l))
 
 
 def moments_from_free(cumulants: MomentSequence) -> MomentSequence:
     """a_n = sum_l (n)_(l-1) / l! B^ord_{n,l}(r)."""
-    return _shape_sums(cumulants, _free_weight, ordinary=True)
+    return _shape_sums(cumulants, _abel_weight)
 
 
 def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
@@ -279,16 +275,16 @@ def moments_from_free_series(cumulants: MomentSequence) -> MomentSequence:
 
 
 def _generalized_weight(multipliers: MultiplierSequence):
-    """Weight (-g_n)_(l-1) of the unified family on the exponential row."""
-    return lambda n, l: falling_factorial(-multipliers.g(n), l - 1)
+    """Weight (-g_n)_(l-1) / l! of the unified family, on unbarred sequences."""
+    return lambda n, l: _abel_weight(-multipliers.g(n), l)
 
 
 def generalized_cumulants(
     moments: MomentSequence, multipliers: MultiplierSequence
 ) -> MomentSequence:
-    """c_n = sum_l (-g_n)_(l-1) B_{n,l}(a)."""
+    """c_n / n! = sum_l (-g_n)_(l-1) / l! B^ord_{n,l}(a_k / k!)."""
     _check_orders(moments, multipliers)
-    return _shape_sums(moments, _generalized_weight(multipliers))
+    return _shape_sums(moments.unbar(), _generalized_weight(multipliers)).bar()
 
 
 def moments_from_generalized(
@@ -296,17 +292,17 @@ def moments_from_generalized(
 ) -> MomentSequence:
     """Inverse of generalized_cumulants by the triangular recursion.
 
-    B_{n,1}(a) = a_n enters with weight 1 and B_{n,l} for l >= 2 involves
-    lower moments only, so a_n is c_n minus the degree-n sum taken with
-    a_n = 0.
+    On unbarred values, B^ord_{n,1}(a) = a_n enters with weight 1 and
+    B^ord_{n,l} for l >= 2 involves lower moments only, so a_n is c_n minus
+    the degree-n sum taken with a_n = 0.
     """
     _check_orders(cumulants, multipliers)
     weight = _generalized_weight(multipliers)
     acc: list[Fraction] = []
-    for n, c_n in enumerate(cumulants.values, start=1):
+    for n, c_n in enumerate(cumulants.unbar().values, start=1):
         acc.append(Fraction(0))
         acc[-1] = c_n - _shape_sum(acc, n, weight)
-    return MomentSequence(tuple(acc))
+    return MomentSequence(tuple(acc)).bar()
 
 
 def abel_oracle(
@@ -323,6 +319,7 @@ def abel_oracle(
     Only nu_0..nu_(n-1) enter, so f is powered at order n - 1: truncation
     commutes with every series operation, and the values are those at order N.
     """
+    _check_orders(moments, multipliers)
     check_size(n, moments.order, "the Abel oracle needs")
     powered = moments.truncated(n - 1).to_egf().power(-multipliers.g(n))
     nu = (1,) + MomentSequence.from_egf(powered).values
@@ -395,11 +392,12 @@ def cumulant_matrix(moments: MomentSequence, nmax: int, kmax: int) -> CumulantMa
     """Table c_{n,k} of k-th constant-multiplier cumulants of the input."""
     check_size(nmax, moments.order, "cumulant matrix rows need")
     check_size(kmax, math.inf, "cumulant matrix columns need")
+    unbarred = moments.unbar().values
     rows = []
     for n in range(1, nmax + 1):
-        row = _bell_row(moments.values, n, ordinary=False)  # one row serves every k
+        row = _bell_row(unbarred, n)  # one row serves every k
         rows.append(tuple(
-            sum((falling_factorial(-k, l - 1) * row[l] for l in range(1, n + 1)), Fraction(0))
+            math.factorial(n) * sum(_abel_weight(-k, l) * row[l] for l in range(1, n + 1))
             for k in range(1, kmax + 1)
         ))
     return CumulantMatrix(tuple(rows))
@@ -453,17 +451,20 @@ def boolean_free_transport(moments: MomentSequence) -> MomentSequence:
 def umbral_composition(
     outer: MomentSequence, inner: MomentSequence, flavor: str
 ) -> MomentSequence:
-    """Composition h_n = sum_l g_l B_{n,l}(a).
+    """Composition h_n = sum_l g_l B^ord_{n,l}(a).
 
-    flavor 'egf' takes the exponential row and matches substitution of
-    exponential generating functions; flavor 'ogf' takes the ordinary row
-    and matches substitution of ordinary generating functions.
+    Flavor 'ogf' matches substitution of ordinary generating functions.
+    Flavor 'egf' matches substitution of exponential ones: it is the same
+    sum on the unbarred sequences g_l/l! and a_k/k!, barred.
     """
     _check_orders(outer, inner)
-    kind = flavor.lower()
+    kind = flavor.lower() if isinstance(flavor, str) else None
     if kind not in ("egf", "ogf"):
         raise ValueError(f"flavor must be 'egf' or 'ogf', got {flavor!r}")
-    return _shape_sums(inner, lambda n, l: outer.values[l - 1], ordinary=kind == "ogf")
+    if kind == "ogf":
+        return _shape_sums(inner, lambda n, l: outer.values[l - 1])
+    g = outer.unbar().values
+    return _shape_sums(inner.unbar(), lambda n, l: g[l - 1]).bar()
 
 
 def factorial_moments(moments: MomentSequence) -> MomentSequence:
@@ -483,11 +484,11 @@ def factorial_moments(moments: MomentSequence) -> MomentSequence:
 def dot_operation(
     multiplier_moments: MomentSequence, moments: MomentSequence
 ) -> MomentSequence:
-    """Moments of the dot product: sum_l g_(l) B_{n,l}(a).
+    """Moments of the dot product: a_n / n! = sum_l g_(l) / l! B^ord_{n,l}(a_k / k!).
 
     g_(l) are the factorial moments of the first argument.  On generating
     functions this is f_g applied to log of the moment EGF.
     """
     _check_orders(multiplier_moments, moments)
-    fact = factorial_moments(multiplier_moments).values
-    return _shape_sums(moments, lambda n, l: fact[l - 1])
+    fact = factorial_moments(multiplier_moments).unbar().values
+    return _shape_sums(moments.unbar(), lambda n, l: fact[l - 1]).bar()

@@ -198,6 +198,13 @@ def test_cumulant_matrix_entries_equal_the_per_shape_formula(seed):
 # grouped rows against closed forms
 
 
+def exponential_row(values, n):
+    """B_{n,l}(a) = n!/l! B^ord_{n,l}(a_k/k!), l = 0..n, from the one ordinary row."""
+    unbarred = [v / math.factorial(k) for k, v in enumerate(values, start=1)]
+    row = _bell_row(unbarred, n)
+    return [math.factorial(n) * b / math.factorial(l) for l, b in enumerate(row)]
+
+
 def test_exponential_row_at_ones_is_stirling_second_kind():
     # S(n, l) = l S(n-1, l) + S(n-1, l-1), S(0, 0) = 1
     ones = [Fraction(1)] * 15
@@ -207,11 +214,21 @@ def test_exponential_row_at_ones_is_stirling_second_kind():
             (l * stirling[l] if l < n else 0) + (stirling[l - 1] if l >= 1 else 0)
             for l in range(n + 1)
         ]
-        assert _bell_row(ones, n, False) == stirling, n
+        assert exponential_row(ones, n) == stirling, n
+    # and on rationals, the set-partition count d_lambda per shape
+    for seed in SEEDS:
+        a = random_sequence(random.Random(seed), REF_N).values
+        for n in range(1, REF_N + 1):
+            expected = [Fraction(0)] * (n + 1)
+            for lam in integer_partitions(n):
+                expected[lam.length] += d_lambda(lam) * math.prod(
+                    (a[p - 1] for p in lam.parts), start=Fraction(1)
+                )
+            assert exponential_row(a, n) == expected, (seed, n)
 
 
 def test_ordinary_row_at_ones_is_binomial():
     ones = [Fraction(1)] * 15
     for n in range(1, 16):
         expected = [0] + [math.comb(n - 1, l - 1) for l in range(1, n + 1)]
-        assert _bell_row(ones, n, True) == expected, n
+        assert _bell_row(ones, n) == expected, n

@@ -64,6 +64,9 @@ def test_moment_sequence_basics():
     assert a.order == 3
     assert a.moment(0) == 1
     assert a.moment(2) == Fraction(1, 2)
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            a.moment(k)
     assert a.truncated(2) == seq(1, "1/2")
     with pytest.raises(ValueError):
         a.truncated(4)
@@ -437,6 +440,8 @@ def test_abel_oracle_errors():
     with pytest.raises(ValueError):
         abel_oracle(a, g, 3)
     with pytest.raises(ValueError):
+        abel_oracle(seq(1, 2, 3), g, 3)
+    with pytest.raises(ValueError):
         abel_copy_oracle(a, -1, 1)
     with pytest.raises(ValueError):
         abel_copy_oracle(a, Fraction(1, 2), 1)
@@ -579,8 +584,9 @@ def test_umbral_composition_matches_series_substitution():
         assert umbral_composition(outer, inner, "egf") == MomentSequence.from_egf(egf)
         ogf = outer.to_ogf().compose(inner.to_ogf() - 1)
         assert umbral_composition(outer, inner, "ogf") == MomentSequence.from_ogf(ogf)
-    with pytest.raises(ValueError):
-        umbral_composition(outer, inner, "mixed")
+    for flavor in ("mixed", 3):
+        with pytest.raises(ValueError):
+            umbral_composition(outer, inner, flavor)
 
 
 def test_umbral_composition_with_mobius_sequence_gives_cumulants():
