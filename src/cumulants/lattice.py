@@ -1,10 +1,11 @@
 """Literal incidence-algebra computations on the three partition lattices.
 
 Everything here is enumeration-backed: convolutions are explicit sums over
-lattice elements, Moebius functions come from the defining recursion rather
-than any closed form, and the theorem checkers compare those sums against
-the generating-function and transform routes computed elsewhere.  That
-independence is the point; keep it when modifying.
+lattice elements, Moebius values come from the defining recursion at the
+top element summed over every element of each lattice up to the order,
+not from any closed form, and the theorem checkers compare those sums
+against the generating-function and transform routes computed elsewhere.
+That independence is the point; keep it when modifying.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import functools
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 from .partitions import (
     Lattice,
@@ -25,6 +25,7 @@ from .partitions import (
     noncrossing_partitions,
     set_partitions,
 )
+from .series import _check_order
 from .transforms import (
     MomentSequence,
     free_from_moments,
@@ -55,11 +56,13 @@ class MultiplicativeFunction(MomentSequence):
     @classmethod
     def delta(cls, order: int) -> "MultiplicativeFunction":
         """Convolution identity: 1 at n = 1, else 0."""
+        _check_order(order)
         return cls(tuple(Fraction(1 if n == 1 else 0) for n in range(1, order + 1)))
 
     @classmethod
     def mobius(cls, order: int) -> "MultiplicativeFunction":
         """Closed-form Moebius values (-1)^(n-1) (n-1)! of the full lattice."""
+        _check_order(order)
         return cls(
             tuple(
                 Fraction((-1) ** (n - 1) * math.factorial(n - 1))
@@ -132,58 +135,28 @@ def convolve_lattice(
     return sum(Fraction(num, den) for den, num in sums.items())
 
 
-def _key(blocks, width: int) -> int:
-    """Partition key: field x (width bits) holds min(x's block); keys of disjoint blocks add."""
-    return sum(b[0] << width * (x - 1) for b in blocks for x in b)
+def mobius_function(order: int, lattice: Lattice) -> MultiplicativeFunction:
+    """Multiplicative Moebius function from the defining recursion, no closed form used.
 
-
-@functools.lru_cache(maxsize=None)
-def _least_positions(m: int, lattice: Lattice) -> tuple[tuple[int, ...], ...]:
-    """Per partition of [m] in the lattice kind, m (x - 1) + min(x's block) - 1 for each x."""
-    return tuple(
-        tuple(m * (x - 1) + b[0] - 1 for b in p.blocks for x in b) for p in _elements(m, lattice)
-    )
-
-
-def _block_refinements(block: tuple[int, ...], lattice: Lattice, width: int) -> tuple[int, ...]:
-    """`_key` of every partition of one block in the given lattice kind."""
-    # fields[m i + j]: block[j] in the field of block[i]; `_least_positions`
-    # picks, for each element, the field value of its block's least element
-    fields = [z << width * (y - 1) for y in block for z in block]
-    return tuple(sum(map(fields.__getitem__, p)) for p in _least_positions(len(block), lattice))
+    For m > 1, sum_{tau <= 1_m} mu(0_m, tau) = 0.  Every lower interval
+    [0_m, tau] is the product, over the blocks of tau, of smaller lattices
+    of the same kind, so mu(0_m, tau) is the product of mu_{|b|} over
+    those blocks and mu_m = mu(0_m, 1_m) is the one unknown at degree m.
+    """
+    _check_order(order)
+    if order:
+        _check_bounds(order, lattice)
+    mu = [None, 1]  # mu[m] = mu(0_m, 1_m); the recursion stays within the integers
+    for m in range(2, order + 1):
+        below_top = (tau for tau in _elements(m, lattice) if tau.length > 1)
+        mu.append(-sum(math.prod(mu[len(b)] for b in tau.blocks) for tau in below_top))
+    return MultiplicativeFunction.from_values(mu[1 : order + 1])
 
 
 def mobius_by_recursion(n: int, lattice: Lattice) -> Fraction:
-    """mu(0_n, 1_n) from the defining recursion, no closed form used.
-
-    Processes elements in decreasing block count (a linear extension of
-    refinement) and enforces sum_{tau <= pi} mu(0_n, tau) = [pi == 0_n].
-    The tau <= pi are generated, not searched for: they are the products,
-    over the blocks of pi, of each block's partitions in the same lattice
-    kind.  In the noncrossing and interval lattices such a product lies
-    in the lattice exactly because pi does, and its `_key` is a sum.
-    """
+    """mu(0_n, 1_n) from the defining recursion of `mobius_function`."""
     _check_bounds(n, lattice)
-    width = n.bit_length()
-    elements = sorted(_elements(n, lattice), key=lambda p: -p.length)
-    blocks = {block for pi in elements for block in pi.blocks}
-    tables = {block: _block_refinements(block, lattice, width) for block in blocks}
-    mu: dict[int, int] = {}  # the recursion stays within the integers
-    for pi in elements:
-        own = _key(pi.blocks, width)
-        if pi.length == n:
-            mu[own] = 1
-            continue
-        mu[own] = 0  # pi is in its own lower ideal; this drops it from the sum
-        mu[own] = -sum(map(mu.__getitem__, map(sum, product(*map(tables.__getitem__, pi.blocks)))))
-    return Fraction(mu[_key([range(1, n + 1)], width)])
-
-
-def mobius_function(order: int, lattice: Lattice) -> MultiplicativeFunction:
-    """Multiplicative Moebius function with recursion-computed diagonal values."""
-    return MultiplicativeFunction.from_values(
-        [mobius_by_recursion(k, lattice) for k in range(1, order + 1)]
-    )
+    return mobius_function(n, lattice).f(n)
 
 
 def _random_sequence(rng: random.Random, order: int) -> MomentSequence:
@@ -223,7 +196,7 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
 
     Returns a JSON-ready report with a counterexample on failure.
     """
-    name = which.upper()
+    name = which.upper() if isinstance(which, str) else None
     if name not in ("T1", "T2", "T3", "COMMUTATIVITY"):
         raise ValueError(f"unknown theorem {which!r}")
     check_size(n, THEOREM_LIMIT, "theorem checks support")

@@ -123,16 +123,16 @@ class SetPartition(Frozen):
         """Sort and check blocks from outside; they must partition 1..n."""
         cleaned = []
         for block in blocks:
-            b = tuple(sorted(block))
+            b = tuple(block)
             if not b:
                 raise ValueError("blocks must be nonempty")
             cleaned.append(b)
-        cleaned.sort(key=lambda b: b[0])
-        seen = sorted(x for b in cleaned for x in b)
-        if seen != list(range(1, n + 1)) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in seen
-        ):
+        seen = [x for b in cleaned for x in b]
+        # element types first: sorting a str or None next to an int fails
+        plain = all(isinstance(x, int) and not isinstance(x, bool) for x in seen)
+        if not plain or sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}")
+        cleaned = sorted((tuple(sorted(b)) for b in cleaned), key=lambda b: b[0])
         return cls(n, tuple(cleaned))
 
     @property

@@ -6,14 +6,13 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cumulants.lattice import (
     CONVOLVE_LIMITS,
     MultiplicativeFunction,
-    _block_refinements,
-    _key,
     convolve_lattice,
     eval_interval,
     mobius_by_recursion,
@@ -196,16 +195,23 @@ def test_mobius_recursion_matches_pair_scan():
     assert isinstance(mobius_by_recursion(5, Lattice.NC), Fraction)
 
 
-def test_mobius_keys_are_distinct_and_add_over_blocks():
-    for lattice, limit in CONVOLVE_LIMITS.items():
-        width = limit.bit_length()
-        elements = ENUMERATE[lattice](limit)
-        assert len({_key(p.blocks, width) for p in elements}) == len(elements)
-        # a block's refinement keys are the keys of its relabelled partitions
-        block = (2, 3, 5, 6) if lattice is Lattice.ALL else (3, 4, 5, 6)
-        relabelled = [[[block[x - 1] for x in b] for b in p.blocks] for p in ENUMERATE[lattice](4)]
-        expected = tuple(_key(blocks, width) for blocks in relabelled)
-        assert _block_refinements(block, lattice, width) == expected
+def test_lower_intervals_are_products_over_blocks():
+    # the premise of the recursion: [0_n, tau] is the product, over tau's
+    # blocks, of the same-kind partitions of each block
+    for lattice, enumerate_ in ENUMERATE.items():
+        for n in range(1, 7):
+            elements = enumerate_(n)
+            for tau in elements:
+                scanned = {sigma for sigma in elements if leq_refinement(sigma, tau)}
+                relabelled = [
+                    [[[block[x - 1] for x in b] for b in p.blocks] for p in enumerate_(len(block))]
+                    for block in tau.blocks
+                ]
+                generated = {
+                    SetPartition.from_blocks(n, [b for part in parts for b in part])
+                    for parts in product(*relabelled)
+                }
+                assert scanned == generated
 
 
 def test_mobius_inverts_zeta():
@@ -291,6 +297,8 @@ def test_verify_theorem_reports():
         verify_theorem(7, "T1")
     with pytest.raises(ValueError):
         verify_theorem(3, "T9")
+    with pytest.raises(ValueError, match="^unknown theorem 5$"):
+        verify_theorem(3, 5)
 
 
 def free_cumulant_ogf(values) -> TruncatedSeries:

@@ -102,7 +102,7 @@ def test_booleans_and_floats_are_not_parts_or_elements():
     for parts in ((True,), (2, True), (1.0,)):
         with pytest.raises(ValueError, match="^parts must be positive integers$"):
             IntegerPartition(parts)
-    for blocks in ([[True, 2]], [[2], [True]], [[1.0, 2]]):
+    for blocks in ([[True, 2]], [[2], [True]], [[1.0, 2]], [[1, "a"]], [[1, None]]):
         with pytest.raises(ValueError, match="^blocks do not partition 1..2$"):
             SetPartition.from_blocks(2, blocks)
 

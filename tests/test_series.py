@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from cumulants.lattice import MultiplicativeFunction, mobius_function
+from cumulants.partitions import Lattice
 from cumulants.series import TruncatedSeries, as_fraction
 from cumulants.transforms import MomentSequence, named_sequence
 
@@ -32,6 +34,9 @@ ORDER_TAKERS = {
     "truncated": lambda order: MomentSequence.constant(1, 3).truncated(order),
     "TruncatedSeries": lambda order: TruncatedSeries(order, [1]),
     "power": lambda exponent: TruncatedSeries(2, [1, 1]).power(exponent),
+    "delta": MultiplicativeFunction.delta,
+    "mobius": MultiplicativeFunction.mobius,
+    "mobius_function": lambda order: mobius_function(order, Lattice.NC),
 }
 
 
@@ -48,6 +53,9 @@ ORDER_TAKERS = {
         ("constant", -1, "order must be nonnegative"),
         ("index", -1, "order must be nonnegative"),
         ("TruncatedSeries", -1, "order must be nonnegative"),
+        ("delta", -1, "order must be nonnegative"),
+        ("mobius", -1, "order must be nonnegative"),
+        ("mobius_function", -1, "order must be nonnegative"),
         ("truncated", -1, "cannot truncate order 3 to -1"),
     ],
 )
