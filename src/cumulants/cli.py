@@ -213,9 +213,12 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
+MATRIX_LIMIT = 12
+
+
 def _cmd_matrix(args) -> int:
-    if not 1 <= args.nmax <= 12 or not 1 <= args.kmax <= 12:
-        raise UsageError("--nmax and --kmax must lie in 1..12")
+    if not 1 <= args.nmax <= MATRIX_LIMIT or not 1 <= args.kmax <= MATRIX_LIMIT:
+        raise UsageError(f"--nmax and --kmax must lie in 1..{MATRIX_LIMIT}")
     seq = _load_sized(args, args.nmax, "--nmax")
     _emit(cumulant_matrix(seq, args.nmax, args.kmax), args.output)
     return 0

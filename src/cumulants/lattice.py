@@ -144,8 +144,7 @@ def mobius_function(order: int, lattice: Lattice) -> MultiplicativeFunction:
     those blocks and mu_m = mu(0_m, 1_m) is the one unknown at degree m.
     """
     _check_order(order)
-    if order:
-        _check_bounds(order, lattice)
+    _check_bounds(max(order, 1), lattice)  # order 0 is the empty function, of a known lattice
     mu = [None, 1]  # mu[m] = mu(0_m, 1_m); the recursion stays within the integers
     for m in range(2, order + 1):
         below_top = (tau for tau in _elements(m, lattice) if tau.length > 1)

@@ -15,7 +15,6 @@ and first-block-size order for interval partitions.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -85,8 +84,10 @@ class IntegerPartition(Frozen):
         return out
 
 
-@functools.lru_cache(maxsize=None)
-def _integer_partitions(n: int) -> tuple[IntegerPartition, ...]:
+def integer_partitions(n: int) -> list[IntegerPartition]:
+    """Partitions of n, reverse lexicographic from (n) to (1,...,1), built afresh per call."""
+    check_size(n, math.inf, "integer partitions need", least=0)
+
     def rec(remaining, cap):
         if remaining == 0:
             yield ()
@@ -95,13 +96,7 @@ def _integer_partitions(n: int) -> tuple[IntegerPartition, ...]:
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    return tuple(IntegerPartition(p) for p in rec(n, n))
-
-
-def integer_partitions(n: int) -> list[IntegerPartition]:
-    """All partitions of n, reverse lexicographic: (n) first, (1,...,1) last."""
-    check_size(n, math.inf, "integer partitions need", least=0)
-    return list(_integer_partitions(n))
+    return [IntegerPartition(p) for p in rec(n, n)]
 
 
 def d_lambda(shape: IntegerPartition) -> int:

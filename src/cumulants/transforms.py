@@ -9,8 +9,8 @@ polynomial (Comtet, Advanced Combinatorics, 3.3):
 where a_lambda is the product of the sequence over the parts.  The exponential
 row, which counts set partitions (d_lambda) instead of compositions, is
 n!/l! B_{n,l}(a_k/k!), so the exponential maps read their input unbarred and
-bar their output.  Only _bell_row enumerates shapes, and every cumulant weight
-is the Abel weight (x)_(l-1)/l! of _abel_weight:
+bar their output.  Only _bell_row walks the shapes, afresh per call, and every
+cumulant weight is the Abel weight (x)_(l-1)/l! of _abel_weight:
 
     x = -1      classical_from_moments (unbarred)
     x = -2, -n  boolean_from_moments, free_from_moments
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import check_size, falling_factorial, integer_partitions
+from .partitions import check_size, falling_factorial
 from .series import (
     Frozen, TruncatedSeries, _check_int, _check_order, _setattr, as_fraction, exact_json,
 )
@@ -180,14 +180,18 @@ def _check_orders(a, b) -> None:
 
 
 def _bell_row(values, n: int) -> list[Fraction]:
-    """B^ord_{n,0..n}(values): the one loop over the shapes of n."""
+    """B^ord_{n,0..n}(values): one depth-first walk over the shapes of n, nothing kept."""
     row = [Fraction(0)] * (n + 1)
-    for shape in integer_partitions(n):
-        parts = shape.parts
-        term = math.factorial(len(parts)) // shape.mult_factorial
-        for part in parts:
-            term *= values[part - 1]
-        row[len(parts)] += term
+
+    def walk(remaining, cap, l, run, count, product):
+        # count = l!/m(lambda)! for the parts so far, the last `run` of them equal to cap
+        if not remaining:
+            row[l] += count * product
+        for part in range(min(remaining, cap), 0, -1):
+            r = run + 1 if part == cap else 1
+            walk(remaining - part, part, l + 1, r, count * (l + 1) // r, product * values[part - 1])
+
+    walk(n, n, 0, 0, 1, 1)
     return row
 
 

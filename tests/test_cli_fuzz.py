@@ -19,11 +19,10 @@ import random
 
 import pytest
 
-from cumulants.cli import VOLUME_LIMIT, _SUITES, main
+from cumulants.cli import MATRIX_LIMIT, VOLUME_LIMIT, _SUITES, main
 
 CASES = 800
 MAX_ORDER = 8
-MATRIX_LIMIT = 12
 THEORIES = ["classical", "boolean", "free", "abel"]
 NAMES = ["u", "chi", "epsilon", "ubar", "uD", "bell", "catalan"]
 SERIES_OPS = ["add", "mul", "compose", "reciprocal", "revert", "log", "exp"]

@@ -115,6 +115,7 @@ def test_unknown_lattice_is_a_value_error():
         lambda: convolve_lattice(zeta, zeta, 3, "nc"),
         lambda: mobius_by_recursion(3, "nc"),
         lambda: mobius_function(3, "nc"),
+        lambda: mobius_function(0, "nc"),
     ):
         with pytest.raises(ValueError, match="unknown lattice: 'nc'"):
             call()

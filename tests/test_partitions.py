@@ -393,11 +393,13 @@ def test_enumerations_are_not_kept_after_use():
         "import gc, tracemalloc\n"
         "from cumulants.partitions import set_partitions, noncrossing_partitions, interval_partitions\n"
         "from cumulants.parking import enumerate_parking, volume_bruteforce\n"
+        "from cumulants.transforms import classical_from_moments, named_sequence\n"
         "tracemalloc.start()\n"
         "for fn, n in ((set_partitions, 8), (noncrossing_partitions, 9), (interval_partitions, 10)):\n"
         "    fn(n)\n"
         "enumerate_parking(6)\n"
         "volume_bruteforce([1] * 6)\n"
+        "classical_from_moments(named_sequence(\"u\", 24))\n"
         "gc.collect()\n"
         "print(tracemalloc.get_traced_memory()[0])\n"
     )

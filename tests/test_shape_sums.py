@@ -215,16 +215,21 @@ def test_exponential_row_at_ones_is_stirling_second_kind():
             for l in range(n + 1)
         ]
         assert exponential_row(ones, n) == stirling, n
-    # and on rationals, the set-partition count d_lambda per shape
-    for seed in SEEDS:
-        a = random_sequence(random.Random(seed), REF_N).values
-        for n in range(1, REF_N + 1):
+    # and on rationals, the set-partition count d_lambda per shape: small ones
+    # to n = 20 and one seeded sequence of 40-digit rationals to n = 16
+    wide = random.Random(4)
+    cases = [random_sequence(random.Random(seed), REF_N).values for seed in SEEDS] + [
+        random_sequence(random.Random(3), 20).values,
+        [Fraction(wide.randint(-10**40, 10**40), wide.randint(1, 10**40)) for _ in range(16)],
+    ]
+    for case, a in enumerate(cases):
+        for n in range(1, len(a) + 1):
             expected = [Fraction(0)] * (n + 1)
             for lam in integer_partitions(n):
                 expected[lam.length] += d_lambda(lam) * math.prod(
                     (a[p - 1] for p in lam.parts), start=Fraction(1)
                 )
-            assert exponential_row(a, n) == expected, (seed, n)
+            assert exponential_row(a, n) == expected, (case, n)
 
 
 def test_ordinary_row_at_ones_is_binomial():
