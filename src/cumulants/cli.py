@@ -236,24 +236,15 @@ def _load_series_pair(spec: str) -> tuple[TruncatedSeries, TruncatedSeries]:
 
 
 def _cmd_series(args) -> int:
-    binary = {"add", "mul", "compose"}
     try:
-        if args.op in binary:
+        if args.op in ("add", "mul", "compose"):
             f, g = _load_series_pair(args.input)
-            if args.op == "add":
-                result = f + g
-            elif args.op == "mul":
-                result = f * g
-            else:
-                result = f.compose(g)
+            binary = {"add": f.__add__, "mul": f.__mul__, "compose": f.compose}
+            result = binary[args.op](g)
         else:
             f = _load_series(args.input)
-            result = {
-                "reciprocal": f.reciprocal,
-                "revert": f.revert,
-                "log": f.log,
-                "exp": f.exp,
-            }[args.op]()
+            unary = {"reciprocal": f.reciprocal, "revert": f.revert, "log": f.log, "exp": f.exp}
+            result = unary[args.op]()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit(result, args.output)

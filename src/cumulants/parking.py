@@ -10,6 +10,7 @@ functions and the free moment/cumulant transform in one picture.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .partitions import IntegerPartition, check_size
@@ -74,12 +75,10 @@ def enumerate_parking(n: int) -> list[tuple[int, ...]]:
 
 def parking_type(entries) -> IntegerPartition:
     """Shape of a parking function: its nonzero value multiplicities."""
+    entries = tuple(entries)  # read a one-shot iterable once
     if not is_parking(entries):
-        raise ValueError(f"{tuple(entries)!r} is not a parking function")
-    mult: dict[int, int] = {}
-    for v in entries:
-        mult[v] = mult.get(v, 0) + 1
-    return IntegerPartition(tuple(sorted(mult.values(), reverse=True)))
+        raise ValueError(f"{entries!r} is not a parking function")
+    return IntegerPartition(tuple(sorted(Counter(entries).values(), reverse=True)))
 
 
 def orbit_size(shape: IntegerPartition) -> int:

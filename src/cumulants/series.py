@@ -220,22 +220,18 @@ class TruncatedSeries(Frozen):
     def revert(self) -> "TruncatedSeries":
         """Compositional inverse of a delta series with nonzero linear term.
 
-        Lagrange inversion: with h = t / d(t), the inverse w has
-        w_m = [t^(m-1)] h^m / m, read off a running power of h.
+        Lagrange inversion: with d = t g, the inverse w has w_m equal to
+        [t^(m-1)] g^(-m) / m, read off one power of g truncated at t^(m-1).
         """
         if self.coeffs[0] != 0:
             raise ValueError("reversion requires a delta series")
         if self.order < 1 or self.coeffs[1] == 0:
             raise ValueError("no compositional inverse: linear coefficient is zero")
-        n = self.order
-        h = TruncatedSeries(n - 1, self.coeffs[1:]).reciprocal()
-        w = [Fraction(0)] * (n + 1)
-        power = h
-        for m in range(1, n + 1):
-            w[m] = power.coeffs[m - 1] / m
-            if m < n:
-                power = power * h
-        return TruncatedSeries(n, w)
+        w = [Fraction(0)]
+        for m in range(1, self.order + 1):
+            g = TruncatedSeries(m - 1, self.coeffs[1:m + 1])  # d / t, cut at t^(m-1)
+            w.append(g.power(-m).coeffs[m - 1] / m)
+        return TruncatedSeries(self.order, w)
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm of a series with constant term 1."""
@@ -261,30 +257,32 @@ class TruncatedSeries(Frozen):
         return TruncatedSeries(n, out)
 
     def power(self, exponent) -> "TruncatedSeries":
-        """f**e: binary powering for integer e, exp(e log f) otherwise.
+        """h = f**e by Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from f h' = e f' h:
+        m f_0 h_m = sum_{k=1..m} ((e+1)k - m) f_k h_(m-k), with h_0 = f_0^e.
 
-        Fractional exponents require constant term 1.
+        Fractional exponents require constant term 1.  A zero constant term
+        takes only e >= 0: f = t^v g with g_0 != 0 gives f^e = t^(v e) g^e.
         """
         if isinstance(exponent, bool):
             raise ValueError(f"exponent must be a number, not {exponent!r}")
-        if isinstance(exponent, int):
-            if exponent < 0:
-                return self.reciprocal().power(-exponent)
-            acc = TruncatedSeries.constant(1, self.order)
-            base, e = self, exponent
-            while e:
-                if e & 1:
-                    acc = acc * base
-                e >>= 1
-                if e:
-                    base = base * base
-            return acc
         e = as_fraction(exponent)
         if e.denominator == 1:
-            return self.power(int(e))
-        if self.coeffs[0] != 1:
+            e = int(e)  # so that the weights stay integers
+        elif self.coeffs[0] != 1:
             raise ValueError("fractional power requires constant term 1")
-        return (self.log() * e).exp()
+        n = self.order
+        v = next((i for i, c in enumerate(self.coeffs) if c), n + 1)
+        if v and e < 0:
+            raise ValueError("series with zero constant term has no reciprocal")
+        shift = v * e if v else 0  # a fractional e comes with v = 0
+        if e == 0 or shift > n:  # f^0 = 1, or t^(v e) lies past t^n
+            return TruncatedSeries.constant(int(e == 0), n)
+        g = self.coeffs[v:v + n - shift + 1]
+        h = [g[0] ** e.numerator]  # g_0 = 1 when e is fractional
+        for m in range(1, n - shift + 1):
+            s = sum(((e + 1) * k - m) * g[k] * h[m - k] for k in range(1, m + 1))
+            h.append(s / (m * g[0]))
+        return TruncatedSeries(n, [0] * shift + h)
 
     __pow__ = power
 

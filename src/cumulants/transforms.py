@@ -379,9 +379,13 @@ class CumulantMatrix(Frozen):
         return len(self.entries[0]) if self.entries else 0
 
     def entry(self, n: int, k: int) -> Fraction:
-        return self.entries[n - 1][k - 1]
+        if not 1 <= n <= self.rows:  # index 0 would read the last row
+            raise ValueError(f"row {n} outside 1..{self.rows}")
+        return self.column(k).values[n - 1]
 
     def column(self, k: int) -> MomentSequence:
+        if not 1 <= k <= self.cols:
+            raise ValueError(f"column {k} outside 1..{self.cols}")
         return MomentSequence(tuple(row[k - 1] for row in self.entries))
 
     def to_json(self) -> dict:

@@ -115,6 +115,8 @@ MAPS = {
     "TruncatedSeries.exp": lambda a, b, g: _delta(b).exp(),
     "TruncatedSeries.power-int": lambda a, b, g: _series(a, 1).power(-3),
     "TruncatedSeries.power-fraction": lambda a, b, g: _series(a, 1).power(Fraction(-5, 3)),
+    "TruncatedSeries.power-positive": lambda a, b, g: _series(a, 1).power(5),
+    "TruncatedSeries.power-delta": lambda a, b, g: _delta(b).power(3),
     "volume_shape_eval": lambda a, b, g: [volume_shape_eval(a, n) for n in range(1, a.order + 1)],
     "orbit_moment_eval": lambda a, b, g: [orbit_moment_eval(a, n) for n in range(1, a.order + 1)],
 }
@@ -197,6 +199,10 @@ TruncatedSeries.power-int small 1 16 0868c01a36152a5a77acdd6f86e6baf9ef006551d15
 TruncatedSeries.power-int wide 2 10 a4476c58812c2f7cbbbd2a0101338add4f61536887b2cfa765b69f55acd0f06c
 TruncatedSeries.power-fraction small 1 16 2266d0cf374761de6f490f44aec3e6fc62bf434a07d6611aa28bbbcebdaa5cfe
 TruncatedSeries.power-fraction wide 2 10 8df7757dfa873ddfde770675f05cff1bc3c497e9d7a0d4958ae6dbcdf9e12f30
+TruncatedSeries.power-positive small 1 16 1a7ee26a2e6d54d6337eff8bc90f5ef95af75b57193f09cd02d5cddc14a90f8a
+TruncatedSeries.power-positive wide 2 10 f6189b93b2ac1cff78b2d6d35aac8bd9ba23095d75440723263af6d752399d44
+TruncatedSeries.power-delta small 1 16 b82c7b398abee062219a934432a106981ddf35ce195d68575a2600df40108136
+TruncatedSeries.power-delta wide 2 10 6762ea002a79c7f57b6e6abd2d6d3a452da0f502a3c6c2bccd5d0b06abbc543d
 volume_shape_eval small 1 16 4d1535940d3c95b9be5faafd6f1eebab059aa08d68b8d95ea43d121321bee331
 volume_shape_eval wide 2 10 949dcbf37747a5713827839f1042ff866512c16c37b4d0f8e9b73704fd1dde30
 orbit_moment_eval small 1 16 fbff2ffbf8a0cd2346b4d68578fb793355ed62c28802a5ac631b265b1c361495

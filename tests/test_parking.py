@@ -93,6 +93,12 @@ def test_parking_type_and_orbit_size():
     assert orbit_size(IntegerPartition((3,))) == 1
     with pytest.raises(ValueError):
         parking_type((2, 2))
+    # a one-shot iterable is read once: counted in full, and named in full when refused
+    assert parking_type(iter([1, 1, 2])) == IntegerPartition((2, 1))
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is not a parking function$"):
+        parking_type(iter([2, 2]))
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is not a parking function$"):
+        parking_type([2, 2])
     # orbit size equals the count of distinct rearrangements
     for p in enumerate_parking(4):
         orbit = {perm for perm in itertools.permutations(p)}

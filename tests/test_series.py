@@ -170,12 +170,16 @@ def test_revert_is_two_sided_inverse():
 
 
 def _lagrange_coefficients(d: TruncatedSeries) -> list[Fraction]:
-    """[t^k] of the reversion via (1/k) [t^{k-1}] (t/d)^k; independent oracle."""
+    """[t^k] of the reversion via (1/k) [t^{k-1}] (t/d)^k; independent oracle.
+
+    The powers of t/d are a running product, since `revert` runs `power`.
+    """
     n = d.order
-    shifted = TruncatedSeries(n, d.coeffs[1:])  # d(t)/t
+    inverse = TruncatedSeries(n, d.coeffs[1:]).reciprocal()  # t/d(t)
+    powered = TruncatedSeries.constant(1, n)
     out = [Fraction(0)]
     for k in range(1, n + 1):
-        powered = shifted.reciprocal().power(k)
+        powered = powered * inverse
         out.append(powered.coeffs[k - 1] / k)
     return out
 
@@ -230,6 +234,14 @@ def test_log_exp_random_roundtrip():
         assert d.exp().log() == d
 
 
+def _repeated_product(f: TruncatedSeries, count: int) -> TruncatedSeries:
+    """f * f * ... * f, count factors, by plain multiplication."""
+    acc = TruncatedSeries.constant(1, f.order)
+    for _ in range(count):
+        acc = acc * f
+    return acc
+
+
 def test_power():
     n = 6
     geom = TruncatedSeries(n, [1] * (n + 1))
@@ -241,6 +253,42 @@ def test_power():
     half = f.power(Fraction(1, 2))
     assert half * half == f
     assert f.power(Fraction(2)) == f * f
+    # against the routes the recurrence replaced: repeated products, repeated
+    # reciprocals and exp(e log f), on seeded small and 40-digit rationals
+    for top, den in ((6, 4), (10**40, 10**40)):
+        rng = random.Random(top)
+        for order in range(11):
+            tail = [Fraction(rng.randint(-top, top), rng.randint(1, den)) for _ in range(order)]
+            f = TruncatedSeries(order, [Fraction(rng.randint(1, top), rng.randint(1, den))] + tail)
+            for e in range(7):
+                assert f.power(e) == _repeated_product(f, e), (order, e)
+            for e in range(1, 5):
+                assert f.power(-e) == _repeated_product(f.reciprocal(), e), (order, -e)
+            unit = TruncatedSeries(order, [1] + tail)
+            for e in (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)):
+                assert unit.power(e) == (unit.log() * e).exp(), (order, e)
+            # a zero constant term: t^v g with g_0 != 0, v up to past the order
+            for v in range(1, order + 2):
+                shifted = TruncatedSeries(order, ([0] * v + list(f.coeffs))[: order + 1])
+                for e in range(7):
+                    assert shifted.power(e) == _repeated_product(shifted, e), (order, v, e)
+    zero, one = TruncatedSeries(4), TruncatedSeries.constant(1, 4)
+    assert zero.power(0) == one and zero.power(3) == zero
+    t2 = TruncatedSeries(4, [0, 0, 1, 5])
+    assert t2.power(0) == one
+    assert t2.power(2) == TruncatedSeries(4, [0, 0, 0, 0, 1])
+    assert t2.power(3) == zero  # v e = 6 > N = 4
+    assert TruncatedSeries(0, [0]).power(1) == TruncatedSeries(0)
+    for coeffs, exponent, message in [
+        ([1, 1], True, "exponent must be a number, not True"),
+        ([2, 1], Fraction(1, 2), "fractional power requires constant term 1"),
+        ([0, 1], Fraction(-5, 3), "fractional power requires constant term 1"),
+        ([0, 1], -1, "series with zero constant term has no reciprocal"),
+        ([0, 0], Fraction(-4, 2), "series with zero constant term has no reciprocal"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            TruncatedSeries(3, coeffs).power(exponent)
+        assert str(info.value) == message
 
 
 def test_json_roundtrip():

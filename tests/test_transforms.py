@@ -465,6 +465,16 @@ def test_cumulant_matrix():
         cumulant_matrix(bell, 5, 3)
     with pytest.raises(ValueError):
         cumulant_matrix(bell, 4, 0)
+    # rows and columns count from 1: index 0 is refused, not read as the last one
+    small = cumulant_matrix(named_sequence("u", 3), 3, 2)
+    for n, k in ((0, 1), (4, 1), (-1, 1), (1, 0), (1, 3), (1, -1)):
+        with pytest.raises(ValueError, match="outside 1.."):
+            small.entry(n, k)
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"^column {k} outside 1\.\.2$"):
+            small.column(k)
+    with pytest.raises(ValueError, match=r"^row 0 outside 1\.\.3$"):
+        small.entry(0, 1)
 
 
 # ---------------------------------------------------------------------------
