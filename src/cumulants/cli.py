@@ -39,6 +39,7 @@ from .transforms import (
     MomentSequence,
     MultiplierSequence,
     _NAMED,
+    _abel_pairing,
     abel_copy_oracle,
     abel_oracle,
     boolean_convolve,
@@ -365,10 +366,7 @@ def _suite_parametrization(n: int, seed: int) -> list:
             a = _random_sequence(rng, n)
             c = classical_from_moments(a)
             for m in range(1, n + 1):
-                yield a.moment(m), sum(
-                    math.comb(m - 1, j) * c.moment(j + 1) * a.moment(m - 1 - j)
-                    for j in range(m)
-                )
+                yield a.moment(m), _abel_pairing(c, (1,) + a.values, m)
 
     def barred_pairs():
         for _ in range(10):

@@ -56,8 +56,7 @@ class MultiplicativeFunction(MomentSequence):
     @classmethod
     def delta(cls, order: int) -> "MultiplicativeFunction":
         """Convolution identity: 1 at n = 1, else 0."""
-        _check_order(order)
-        return cls(tuple(Fraction(1 if n == 1 else 0) for n in range(1, order + 1)))
+        return cls(named_sequence("chi", order).values)
 
     @classmethod
     def mobius(cls, order: int) -> "MultiplicativeFunction":
@@ -82,12 +81,9 @@ def eval_interval(
     func: MultiplicativeFunction, sigma: SetPartition, pi: SetPartition
 ) -> Fraction:
     """f(sigma, pi) = prod_i f_i^(k_i) over the interval type of [sigma, pi]."""
-    num = den = 1
-    for i, k_i in enumerate(interval_type(sigma, pi).k, start=1):
-        if k_i:
-            num *= func.f(i).numerator ** k_i
-            den *= func.f(i).denominator ** k_i
-    return Fraction(num, den)
+    k = interval_type(sigma, pi).k
+    powers = (func.f(i) ** k_i for i, k_i in enumerate(k, start=1) if k_i)
+    return math.prod(powers, start=Fraction(1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -116,6 +116,7 @@ class SetPartition(Frozen):
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "SetPartition":
         """Sort and check blocks from outside; they must partition 1..n."""
+        check_size(n, math.inf, "a set partition needs", least=0)
         cleaned = []
         for block in blocks:
             b = tuple(block)
@@ -153,8 +154,8 @@ def singletons(n: int) -> SetPartition:
 
 
 def single_block(n: int) -> SetPartition:
-    """The maximum of the refinement order: one block."""
-    return SetPartition.from_blocks(n, [list(range(1, n + 1))])
+    """The maximum of the refinement order: one block, none at n = 0."""
+    return SetPartition.from_blocks(n, [list(range(1, n + 1))] if n else [])
 
 
 def check_size(n, limit, what: str, least: int = 1) -> None:
@@ -273,15 +274,12 @@ class IntervalType(Frozen):
 
 
 def interval_type(sigma: SetPartition, pi: SetPartition) -> IntervalType:
-    if sigma.n != pi.n:
-        raise ValueError("partitions live on different ground sets")
+    if not leq_refinement(sigma, pi):
+        raise ValueError("interval type needs sigma <= pi in refinement order")
     owner = pi.block_index
     counts = [0] * pi.length
     for block in sigma.blocks:
-        first = owner[block[0]]
-        if any(owner[x] != first for x in block[1:]):
-            raise ValueError("interval type needs sigma <= pi in refinement order")
-        counts[first] += 1
+        counts[owner[block[0]]] += 1
     k = [0] * pi.n
     for c in counts:
         k[c - 1] += 1
@@ -299,6 +297,8 @@ def kreweras_complement(partition: SetPartition) -> SetPartition:
     them (Biane 1997), which is how crossing input is rejected.
     """
     n = partition.n
+    if not n:  # gamma has no cycle here; the one element of NC(0) is its own complement
+        return partition
     pred = [0] * (n + 1)
     for block in partition.blocks:
         prev = block[-1]

@@ -138,8 +138,8 @@ class TruncatedSeries(Frozen):
 
     @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":
-        """The series t."""
-        return cls(order, [0, 1])
+        """The series t, which is zero at order 0."""
+        return cls(order, [0, 1] if order else [0])
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.order}, {[str(c) for c in self.coeffs]})"

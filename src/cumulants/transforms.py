@@ -67,8 +67,7 @@ class MomentSequence(Frozen):
     @classmethod
     def index(cls, order: int) -> "MomentSequence":
         """a_n = n, the free-cumulant multiplier."""
-        _check_order(order)
-        return cls(tuple(Fraction(k) for k in range(1, order + 1)))
+        return cls(named_sequence("uD", order).values)
 
     @property
     def order(self) -> int:
@@ -153,7 +152,7 @@ def _catalan(n: int) -> int:
 
 _NAMED = {
     "u": lambda n: [1] * n,
-    "chi": lambda n: [1] + [0] * (n - 1),
+    "chi": lambda n: [int(k == 1) for k in range(1, n + 1)],
     "epsilon": lambda n: [0] * n,
     "ubar": lambda n: [math.factorial(k) for k in range(1, n + 1)],
     "uD": lambda n: list(range(1, n + 1)),
@@ -204,6 +203,12 @@ def _shape_sum(values, n: int, weight) -> Fraction:
 def _shape_sums(seq: MomentSequence, weight) -> MomentSequence:
     """The shape sums of seq at every degree 1..N."""
     return MomentSequence(tuple(_shape_sum(seq.values, n, weight) for n in range(1, seq.order + 1)))
+
+
+def _abel_pairing(a: MomentSequence, nu, n: int) -> Fraction:
+    """sum_j C(n-1, j) a_{j+1} nu_{n-1-j}: the letter delta paired with n - 1 powers of nu."""
+    terms = (math.comb(n - 1, j) * a.moment(j + 1) * nu[n - 1 - j] for j in range(n))
+    return sum(terms, Fraction(0))
 
 
 def _abel_weight(x, l: int) -> Fraction:
@@ -326,11 +331,7 @@ def abel_oracle(
     _check_orders(moments, multipliers)
     check_size(n, moments.order, "the Abel oracle needs")
     powered = moments.truncated(n - 1).to_egf().power(-multipliers.g(n))
-    nu = (1,) + MomentSequence.from_egf(powered).values
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n - 1, j) * moments.moment(j + 1) * nu[n - 1 - j]
-    return total
+    return _abel_pairing(moments, (1,) + MomentSequence.from_egf(powered).values, n)
 
 
 def abel_copy_oracle(moments: MomentSequence, k: int, n: int) -> Fraction:
@@ -356,10 +357,7 @@ def abel_copy_oracle(moments: MomentSequence, k: int, n: int) -> Fraction:
             sum(math.comb(m, j) * copies[j] * inv[m - j] for j in range(m + 1))
             for m in range(n)
         ]
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n - 1, j) * moments.moment(j + 1) * copies[n - 1 - j]
-    return total
+    return _abel_pairing(moments, copies, n)
 
 
 class CumulantMatrix(Frozen):

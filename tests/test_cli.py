@@ -63,6 +63,11 @@ def test_transform_named_input(capsys):
         "--input", "u", "--order", "5",
     )
     assert data == {"order": 5, "values": ["1", "2", "4", "8", "16"]}
+    data = run_json(
+        capsys, "transform", "--theory", "classical", "--direction", "m2c",
+        "--input", "chi", "--order", "0",
+    )
+    assert data == {"order": 0, "values": []}
 
 
 def test_transform_file_input(capsys, tmp_path):
@@ -293,6 +298,9 @@ def test_matrix_order_zero_is_not_ignored(capsys, monkeypatch):
     argv = ("matrix", "--nmax", "3", "--kmax", "2", "--order", "0", "--input")
     code, out, err = run(capsys, *argv, "u")
     assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")
+    code, out, err = run(capsys, "matrix", "--nmax", "1", "--kmax", "1", "--input", "chi",
+                         "--order", "0")
+    assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 1\n")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(1, 2, 3))))
     code, out, err = run(capsys, *argv, "-")
     assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")

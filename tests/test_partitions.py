@@ -96,6 +96,9 @@ def test_set_partition_canonical_form():
         SetPartition.from_blocks(3, [[1, 2], [2, 3]])
     with pytest.raises(ValueError):
         SetPartition.from_blocks(2, [[1, 2], []])
+    # n = 0: bottom and top are both the empty partition
+    empty = SetPartition.from_blocks(0, [])
+    assert empty.blocks == () and singletons(0) == single_block(0) == empty
 
 
 def test_booleans_and_floats_are_not_parts_or_elements():
@@ -105,6 +108,9 @@ def test_booleans_and_floats_are_not_parts_or_elements():
     for blocks in ([[True, 2]], [[2], [True]], [[1.0, 2]], [[1, "a"]], [[1, None]]):
         with pytest.raises(ValueError, match="^blocks do not partition 1..2$"):
             SetPartition.from_blocks(2, blocks)
+    for n, blocks in ((True, [[1]]), ("2", [[1], [2]])):
+        with pytest.raises(ValueError, match="^a set partition needs 0 <= n <= inf$"):
+            SetPartition.from_blocks(n, blocks)
 
 
 def test_set_partitions_counts_and_order():
@@ -259,6 +265,8 @@ def test_kreweras_examples():
     assert kreweras_complement(sp(3, [1, 2], [3])) == sp(3, [1], [2, 3])
     with pytest.raises(ValueError):
         kreweras_complement(sp(4, [1, 3], [2, 4]))
+    # the one element of NC(0) is its own complement
+    assert kreweras_complement(sp(0)) == sp(0)
 
 
 def test_kreweras_bijection_and_order_reversal():

@@ -74,6 +74,9 @@ def test_constructor_pads_and_validates():
         TruncatedSeries(-1, [])
     with pytest.raises(TypeError):
         TruncatedSeries(1, [0.5, 1])
+    # t truncated at t^0 is zero
+    assert TruncatedSeries.identity(0) == TruncatedSeries(0, [0])
+    assert TruncatedSeries.identity(1) == TruncatedSeries(1, [0, 1])
 
 
 def test_add_and_order_mismatch():

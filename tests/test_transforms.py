@@ -12,6 +12,7 @@ from cumulants.series import TruncatedSeries
 from cumulants.transforms import (
     MomentSequence,
     MultiplierSequence,
+    _NAMED,
     abel_copy_oracle,
     abel_oracle,
     boolean_convolve,
@@ -145,6 +146,9 @@ def test_named_sequences():
     assert named_sequence("catalan", 8) == seq(1, 2, 5, 14, 42, 132, 429, 1430)
     with pytest.raises(ValueError):
         named_sequence("zeta", 3)
+    for name in _NAMED:
+        for order in range(7):
+            assert named_sequence(name, order).order == order, (name, order)
 
 
 # ---------------------------------------------------------------------------
