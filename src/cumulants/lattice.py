@@ -6,6 +6,11 @@ top element summed over every element of each lattice up to the order,
 not from any closed form, and the theorem checkers compare those sums
 against the generating-function and transform routes computed elsewhere.
 That independence is the point; keep it when modifying.
+
+Every verification check lives here too: `_check`, `verify_theorem` and
+`SUITES`, the five suites of ``cumulants verify``.  They are not yet a
+module of their own, because the benchmark tracer looks `verify_theorem`
+up here by name and wraps only the modules already imported.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ import math
 import random
 from fractions import Fraction
 
+from .parking import (
+    PARKING_LIMIT, moments_via_volume, volume_bruteforce, volume_bruteforce_symmetric,
+    volume_shape_eval,
+)
 from .partitions import (
     Lattice,
     SetPartition,
@@ -27,10 +36,9 @@ from .partitions import (
 )
 from .series import _check_order
 from .transforms import (
-    MomentSequence,
-    free_from_moments,
-    moments_from_free,
-    named_sequence,
+    MomentSequence, MultiplierSequence, _abel_pairing, abel_copy_oracle, abel_oracle,
+    boolean_convolve, boolean_free_transport, boolean_from_moments, classical_from_moments,
+    free_convolve, free_from_moments, generalized_cumulants, moments_from_free, named_sequence,
 )
 
 CONVOLVE_LIMITS = {Lattice.ALL: 7, Lattice.NC: 7, Lattice.INTERVAL: 12}
@@ -229,3 +237,131 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     pairs = {"T2": free_pairs, "COMMUTATIVITY": commutativity_pairs}.get(name, composition_pairs)
     check = _check(name, pairs(), seed, n=n)
     return {"theorem": check.pop("name"), **check}
+
+
+# the suites of `cumulants verify`: each takes (n, seed) and returns its list of checks
+
+
+def _suite_lattice(n: int, seed: int) -> list:
+    checks = []
+    for which in ("T1", "T2", "T3", "COMMUTATIVITY"):
+        report = verify_theorem(min(n, THEOREM_LIMIT), which, seed=seed)
+        checks.append({"name": report.pop("theorem"), **report})
+
+    def delta_pairs():
+        for k in range(1, n + 1):
+            mu = MultiplicativeFunction.mobius(k)
+            zeta = MultiplicativeFunction.zeta(k)
+            expected = Fraction(1 if k == 1 else 0)
+            yield expected, convolve_lattice(mu, zeta, k, Lattice.ALL)
+            yield expected, convolve_lattice(zeta, mu, k, Lattice.ALL)
+
+    checks.append(_check("MU_STAR_ZETA", delta_pairs(), seed, n=n))
+    return checks
+
+
+def _suite_abel(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+
+    def pairs(g):
+        for _ in range(10):
+            seq = _random_sequence(rng, n)
+            partition_sum = generalized_cumulants(seq, g)
+            for m in range(1, n + 1):
+                yield abel_oracle(seq, g, m), partition_sum.values[m - 1]
+                yield abel_copy_oracle(seq, int(g.g(m)), m), partition_sum.values[m - 1]
+
+    multipliers = {f"g={k}": MultiplierSequence.constant(k, n) for k in range(5)}
+    multipliers["g=n"] = MultiplierSequence.index(n)
+    return [_check(label, pairs(g), seed) for label, g in multipliers.items()]
+
+
+def _suite_volume(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+    # at all-ones each parking function adds 1/n!, so this is their count
+    total = math.factorial(n) * volume_bruteforce([1] * n)
+    ok = total == (n + 1) ** (n - 1)
+    checks = [{"name": "PARKING_COUNT", "pass": ok, "n_factorial_volume_at_ones": str(total)}]
+
+    def shape_pairs():
+        for k in range(1, min(n, 6) + 1):
+            seq = _random_sequence(rng, k)
+            yield volume_bruteforce_symmetric(seq, k), volume_shape_eval(seq, k)
+
+    catalan_pairs = (
+        (named_sequence("catalan", k).values[-1], volume_shape_eval(named_sequence("ubar", k), k))
+        for k in range(1, min(n, 6) + 1)
+    )
+
+    def round_trips():
+        for _ in range(10):
+            seq = _random_sequence(rng, 8)
+            yield seq, moments_via_volume(seq)
+
+    checks.append(_check("SHAPE_VS_BRUTEFORCE", shape_pairs(), seed))
+    checks.append(_check("CATALAN_VOLUME", catalan_pairs, seed))
+    checks.append(_check("MOMENTS_VIA_VOLUME", round_trips(), seed))
+    return checks
+
+
+def _suite_transport(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+
+    def pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            b = _random_sequence(rng, n)
+            yield (
+                boolean_convolve(boolean_free_transport(a), boolean_free_transport(b)),
+                boolean_free_transport(free_convolve(a, b)),
+            )
+
+    checks = [_check("INTERTWINING", pairs(), seed)]
+    catalan = named_sequence("catalan", n)
+    expected = MomentSequence.from_values([-1] + [0] * (n - 1))
+    checks.append(
+        {"name": "CATALAN_TRANSPORT", "pass": boolean_free_transport(catalan) == expected}
+    )
+    return checks
+
+
+def _suite_parametrization(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+
+    def recursion_pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            c = classical_from_moments(a)
+            for m in range(1, n + 1):
+                yield a.moment(m), _abel_pairing(c, (1,) + a.values, m)
+
+    def barred_pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            barred = a.bar()
+            g2 = MultiplierSequence.constant(2, n)
+            yield boolean_from_moments(a).bar(), generalized_cumulants(barred, g2)
+            gn = MultiplierSequence.index(n)
+            yield free_from_moments(a).bar(), generalized_cumulants(barred, gn)
+
+    def homogeneity_pairs():
+        for _ in range(10):
+            a = _random_sequence(rng, n)
+            j = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            g = _random_sequence(rng, n)
+            yield generalized_cumulants(a, g).scaled(j), generalized_cumulants(a.scaled(j), g)
+
+    checks = [_check("CLASSICAL_RECURSION", recursion_pairs(), seed)]
+    checks.append(_check("BARRED_SPECIALIZATIONS", barred_pairs(), seed))
+    checks.append(_check("HOMOGENEITY", homogeneity_pairs(), seed))
+    return checks
+
+
+# name -> (largest n, suite)
+SUITES = {
+    "lattice": (CONVOLVE_LIMITS[Lattice.ALL], _suite_lattice),
+    "abel": (12, _suite_abel),
+    "volume": (PARKING_LIMIT, _suite_volume),
+    "transport": (12, _suite_transport),
+    "parametrization": (12, _suite_parametrization),
+}

@@ -40,11 +40,17 @@ def _check_int(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
-def _check_order(order) -> None:
+def _check_order(order, what: str = "order") -> None:
     """The order of a new sequence or series: a plain int, at least 0."""
-    _check_int(order, "order")
+    _check_int(order, what)
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
+
+
+def _check_orders(a, b, kind: str = "sequence") -> None:
+    """Two operands of one operation share one order."""
+    if a.order != b.order:
+        raise ValueError(f"{kind} order mismatch: {a.order} != {b.order}")
 
 
 def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
@@ -56,7 +62,7 @@ def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
         order, raw = data["order"], data[key]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{kind} JSON needs 'order' and '{key}': {exc}") from exc
-    _check_int(order, f"{kind} 'order'")
+    _check_order(order, f"{kind} 'order'")
     field = f"{kind} '{key}'"
     if not isinstance(raw, list):
         raise ValueError(f"{field} must be a JSON array")
@@ -144,15 +150,9 @@ class TruncatedSeries(Frozen):
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.order}, {[str(c) for c in self.coeffs]})"
 
-    def _same_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"series order mismatch: {self.order} != {other.order}"
-            )
-
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
-            self._same_order(other)
+            _check_orders(self, other, "series")
             return TruncatedSeries(
                 self.order,
                 [a + b for a, b in zip(self.coeffs, other.coeffs)],
@@ -175,7 +175,7 @@ class TruncatedSeries(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            self._same_order(other)
+            _check_orders(self, other, "series")
             n = self.order
             out = [Fraction(0)] * (n + 1)
             for i, a in enumerate(self.coeffs):
@@ -209,7 +209,7 @@ class TruncatedSeries(Frozen):
         Evaluated by Horner's rule; the inner series must have zero
         constant term so that truncation is exact.
         """
-        self._same_order(inner)
+        _check_orders(self, inner, "series")
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires a delta series (zero constant term)")
         acc = TruncatedSeries.constant(self.coeffs[self.order], self.order)

@@ -19,11 +19,13 @@ cumulant weight is the Abel weight (x)_(l-1)/l! of _abel_weight:
     x = n       moments_from_free, parking.orbit_moment_eval, and
                 parking.volume_shape_eval (unbarred)
 
-The other weights are 1/l! (moments_from_classical) and g_(l)/l!
-(dot_operation), both unbarred, and g_l (umbral_composition).  So g == 1 gives
-classical cumulants, g == 2 on factorially rescaled ("barred") sequences
-boolean ones, g_n == n on barred sequences free ones, and the Pitman-Stanley
-volume polynomial is the free-moment polynomial read at a_k/k!.
+The one other weight is an outer sequence g_l (umbral_composition); its
+exponential flavor gives moments_from_classical (g = u, composition with
+e^t - 1) and dot_operation (g the factorial moments).  In the unified
+family, multipliers g == 1 give classical cumulants, g == 2 on factorially
+rescaled ("barred") sequences boolean ones, g_n == n on barred sequences
+free ones, and the Pitman-Stanley volume polynomial is the free-moment
+polynomial read at a_k/k!.
 
 Each closed form ships with an independent generating-function oracle:
 log/exp of the exponential generating function for the classical pair,
@@ -39,7 +41,8 @@ from fractions import Fraction
 
 from .partitions import check_size, falling_factorial
 from .series import (
-    Frozen, TruncatedSeries, _check_int, _check_order, _setattr, as_fraction, exact_json,
+    Frozen, TruncatedSeries, _check_int, _check_order, _check_orders, _setattr, as_fraction,
+    exact_json,
 )
 
 
@@ -173,11 +176,6 @@ def named_sequence(name: str, order: int) -> MomentSequence:
     return MomentSequence.from_values(gen(order))
 
 
-def _check_orders(a, b) -> None:
-    if a.order != b.order:
-        raise ValueError(f"sequence order mismatch: {a.order} != {b.order}")
-
-
 def _bell_row(values, n: int) -> list[Fraction]:
     """B^ord_{n,0..n}(values): one depth-first walk over the shapes of n, nothing kept."""
     row = [Fraction(0)] * (n + 1)
@@ -226,8 +224,9 @@ def classical_from_moments(moments: MomentSequence) -> MomentSequence:
 
 
 def moments_from_classical(cumulants: MomentSequence) -> MomentSequence:
-    """a_n / n! = sum_l 1/l! B^ord_{n,l}(c_k / k!), the complete Bell polynomial."""
-    return _shape_sums(cumulants.unbar(), lambda n, l: Fraction(1, math.factorial(l))).bar()
+    """a_n / n! = sum_l 1/l! B^ord_{n,l}(c_k / k!), the complete Bell polynomial:
+    composition with e^t - 1, whose EGF coefficients are u."""
+    return umbral_composition(named_sequence("u", cumulants.order), cumulants, "egf")
 
 
 def classical_from_moments_series(moments: MomentSequence) -> MomentSequence:
@@ -495,6 +494,4 @@ def dot_operation(
     g_(l) are the factorial moments of the first argument.  On generating
     functions this is f_g applied to log of the moment EGF.
     """
-    _check_orders(multiplier_moments, moments)
-    fact = factorial_moments(multiplier_moments).unbar().values
-    return _shape_sums(moments.unbar(), lambda n, l: fact[l - 1]).bar()
+    return umbral_composition(factorial_moments(multiplier_moments), moments, "egf")

@@ -177,6 +177,7 @@ def test_transform_rejects_json_booleans(capsys, tmp_path):
         ("values.json", {"order": 2, "values": [True, False]}, "'values'"),
         ("string.json", {"order": 3, "values": "123"}, "'values'"),
         ("zero.json", {"order": 1, "values": ["1/0"]}, "'values'"),
+        ("negative.json", {"order": -1, "values": []}, "'order'"),
     ]:
         path = write_json(tmp_path, name, payload)
         code, out, err = run(
@@ -367,6 +368,7 @@ def test_series_rejects_json_booleans(capsys, tmp_path):
     for name, payload, field in [
         ("order.json", {"order": True, "coeffs": ["0", "3"]}, "'order'"),
         ("coeffs.json", {"order": 1, "coeffs": [False, True]}, "'coeffs'"),
+        ("negative.json", {"order": -1, "coeffs": []}, "'order'"),
     ]:
         path = write_json(tmp_path, name, payload)
         code, out, err = run(capsys, "series", "--op", "revert", "--input", path)
@@ -569,7 +571,7 @@ def test_volume_computation_error_exits_three(capsys, monkeypatch):
 
 
 def test_failing_check_reports_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "abel_oracle", lambda seq, g, m: Fraction(10**6))
+    monkeypatch.setattr("cumulants.lattice.abel_oracle", lambda seq, g, m: Fraction(10**6))
     code, out, err = run(capsys, "verify", "--suite", "abel", "--n", "3", "--seed", "7")
     assert code == 1
     data = json.loads(out)
@@ -583,7 +585,7 @@ def test_failing_check_reports_counterexample(capsys, monkeypatch):
         "seed": 7, "case": 0, "expected": "1000000", "got": str(a_1),
     }
 
-    monkeypatch.setattr(cli, "moments_via_volume", lambda seq: seq.scaled(2))
+    monkeypatch.setattr("cumulants.lattice.moments_via_volume", lambda seq: seq.scaled(2))
     data = json.loads(run(capsys, "verify", "--suite", "volume", "--n", "2")[1])
     (check,) = [c for c in data["checks"] if c["name"] == "MOMENTS_VIA_VOLUME"]
     example = check["counterexample"]

@@ -1,5 +1,5 @@
 """The immutable value types: equality, hashing, immutability, repr, pickling, start-up,
-and the benchmark's traced methods."""
+the benchmark's traced methods and its output checks."""
 
 from __future__ import annotations
 
@@ -153,3 +153,15 @@ def test_every_traced_name_resolves():
         "transforms.free_convolve",
         "transforms.free_from_moments",
     } <= set(names.split())
+
+
+def test_benchmark_output_checks_pass_their_self_test():
+    # bench/selftest.py runs one round of every workload through the program and
+    # its independent output checks: each must accept the true output and reject
+    # perturbed copies; a fresh interpreter, as the benchmark's children are
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "selftest.py")], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "selftest: passed"
