@@ -1,16 +1,18 @@
 """Integer partitions, set partitions, and the three partition lattices.
 
 Set partitions are kept canonical (blocks sorted internally and by least
-element) so they hash and compare structurally; the enumerations build
-them canonical, and ``SetPartition.from_blocks`` is the validating
+element) so they hash and compare structurally.  The enumerators build
+bare block tuples, canonical as built, for the lattice oracles to read;
+the public enumerations and `kreweras_complement` wrap them in
+`SetPartition`, and ``SetPartition.from_blocks`` is the validating
 constructor for outside input.  Set and noncrossing partitions come from
 one restricted-growth generator with a growth rule per lattice: every
 block stays growable, or only those no other block has enclosed yet.
-Interval partitions keep their own composition enumerator, which ran
-about twice as fast as the generator restricted to one growable block.
-Enumeration orders are fixed: restricted growth strings for set and
-noncrossing partitions, reverse lexicographic for integer partitions,
-and first-block-size order for interval partitions.
+Interval partitions keep their own composition enumerator, about twice
+as fast as the generator restricted to one growable block.  Enumeration
+orders are fixed: restricted growth strings for set and noncrossing
+partitions, reverse lexicographic for integer partitions, and
+first-block-size order for interval partitions.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ def check_size(n, limit, what: str, least: int = 1) -> None:
         raise ValueError(f"{what} {least} <= n <= {limit}")
 
 
-def _restricted_growth(n: int, noncrossing: bool) -> list[SetPartition]:
-    """Partitions of [n] in restricted-growth-string order, under one growth rule.
+def _restricted_growth(n: int, noncrossing: bool) -> list[tuple[tuple[int, ...], ...]]:
+    """Partitions of [n] as block tuples in restricted-growth-string order, under one growth rule.
 
     Elements are placed in increasing order: element i joins each growable
     block in turn, then opens a new growable block, so blocks come out sorted
@@ -181,10 +183,8 @@ def _restricted_growth(n: int, noncrossing: bool) -> list[SetPartition]:
     def rec(i, growable):
         if i == n:
             base = tuple(map(tuple, blocks))
-            results.extend(
-                [SetPartition(n, base[:j] + (base[j] + (n,),) + base[j + 1 :]) for j in growable]
-            )
-            results.append(SetPartition(n, base + ((n,),)))
+            results.extend([base[:j] + (base[j] + (n,),) + base[j + 1 :] for j in growable])
+            results.append(base + ((n,),))
             return
         for pos, b in enumerate(growable):
             blocks[b].append(i)
@@ -201,7 +201,7 @@ def _restricted_growth(n: int, noncrossing: bool) -> list[SetPartition]:
 def set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of [n] in restricted-growth-string order."""
     check_size(n, SET_PARTITION_LIMIT, "set partition enumeration supports")
-    return _restricted_growth(n, noncrossing=False)
+    return [SetPartition(n, blocks) for blocks in _restricted_growth(n, noncrossing=False)]
 
 
 def is_noncrossing(partition: SetPartition) -> bool:
@@ -227,7 +227,7 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
     Bell number.
     """
     check_size(n, NONCROSSING_PARTITION_LIMIT, "noncrossing enumeration supports")
-    return _restricted_growth(n, noncrossing=True)
+    return [SetPartition(n, blocks) for blocks in _restricted_growth(n, noncrossing=True)]
 
 
 def is_interval(partition: SetPartition) -> bool:
@@ -237,6 +237,10 @@ def is_interval(partition: SetPartition) -> bool:
 
 def interval_partitions(n: int) -> list[SetPartition]:
     check_size(n, INTERVAL_PARTITION_LIMIT, "interval partition enumeration supports")
+    return [SetPartition(n, blocks) for blocks in _interval_blocks(n)]
+
+
+def _interval_blocks(n: int) -> list[tuple[tuple[int, ...], ...]]:
     # own composition enumerator: _restricted_growth with one growable block ran about 2x slower
     out = []
     # runs of consecutive integers, left to right: canonical as built.
@@ -246,7 +250,7 @@ def interval_partitions(n: int) -> list[SetPartition]:
     def rec(start, acc):
         for run in runs[start][:-1]:
             rec(run[-1] + 1, acc + (run,))
-        out.append(SetPartition(n, acc + (runs[start][-1],)))
+        out.append(acc + (runs[start][-1],))
 
     rec(1, ())
     return out
@@ -299,8 +303,13 @@ def kreweras_complement(partition: SetPartition) -> SetPartition:
     n = partition.n
     if not n:  # gamma has no cycle here; the one element of NC(0) is its own complement
         return partition
+    return SetPartition(n, _kreweras_blocks(n, partition.blocks))
+
+
+def _kreweras_blocks(n: int, blocks) -> tuple[tuple[int, ...], ...]:
+    """The cycles of pi^-1 gamma, from and to block tuples of [n], n >= 1."""
     pred = [0] * (n + 1)
-    for block in partition.blocks:
+    for block in blocks:
         prev = block[-1]
         for x in block:
             pred[x] = prev
@@ -320,9 +329,9 @@ def kreweras_complement(partition: SetPartition) -> SetPartition:
             x = image[x]
         if cycle:
             cycles.append(tuple(sorted(cycle)))
-    if partition.length + len(cycles) != n + 1:
+    if len(blocks) + len(cycles) != n + 1:
         raise ValueError("Kreweras complement is defined for noncrossing partitions only")
-    return SetPartition(n, tuple(cycles))
+    return tuple(cycles)
 
 
 def count_by_shape(shape: IntegerPartition, lattice: Lattice) -> Fraction:

@@ -225,7 +225,7 @@ class TruncatedSeries(Frozen):
         """
         if self.coeffs[0] != 0:
             raise ValueError("reversion requires a delta series")
-        if self.order < 1 or self.coeffs[1] == 0:
+        if self.order and self.coeffs[1] == 0:  # order 0 is identity(0), its own inverse
             raise ValueError("no compositional inverse: linear coefficient is zero")
         w = [Fraction(0)]
         for m in range(1, self.order + 1):

@@ -354,6 +354,11 @@ def test_series_operations(capsys, tmp_path):
     assert data == series_json(2, [1, 2, 6])
 
 
+def test_series_revert_at_order_zero(capsys, tmp_path):
+    zero = write_json(tmp_path, "zero.json", series_json(0, [0]))
+    assert run_json(capsys, "series", "--op", "revert", "--input", zero) == series_json(0, [0])
+
+
 def test_series_errors(capsys, tmp_path):
     zero = write_json(tmp_path, "zero.json", series_json(2, [0, 1, 1]))
     code, out, err = run(capsys, "series", "--op", "reciprocal", "--input", zero)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ import pytest
 from cumulants.lattice import (
     CONVOLVE_LIMITS,
     MultiplicativeFunction,
+    _elements,
     convolve_lattice,
     eval_interval,
     mobius_by_recursion,
@@ -28,6 +30,7 @@ from cumulants.parking import (
 from cumulants.partitions import (
     Lattice,
     SetPartition,
+    _kreweras_blocks,
     integer_partitions,
     interval_partitions,
     kreweras_complement,
@@ -397,3 +400,58 @@ def test_degrees_take_the_size_rule(call, least):
             call(n)
     call(least)
     call(2)
+
+
+def test_verify_theorem_refuses_a_seed_that_is_not_an_int():
+    # a counterexample's seed must replay with ``cumulants verify --seed``, which takes an int
+    for seed in ("x", 1.5, True):
+        message = f"seed must be an integer, not {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_theorem(3, "T1", seed=seed)
+
+
+def test_oracles_and_public_enumerations_list_the_same_lattices():
+    # the oracles read bare block tuples; the public functions wrap the same ones, in order
+    for lattice, limit in CONVOLVE_LIMITS.items():
+        for n in range(1, limit + 1):
+            assert _elements(n, lattice) == tuple(p.blocks for p in ENUMERATE[lattice](n))
+    for n in range(1, 8):
+        for p in noncrossing_partitions(n):
+            assert _kreweras_blocks(n, p.blocks) == kreweras_complement(p).blocks
+
+
+def _entered(thunk, watched) -> set:
+    """Names of the watched functions that one call of thunk runs, from a cold lattice cache."""
+    _elements.cache_clear()
+    names = {fn.__code__: fn.__qualname__ for fn in watched}
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            seen.add(names[frame.f_code])
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(outer)
+    return seen
+
+
+def test_lattice_oracles_build_no_set_partition():
+    # a tracked object per element is what the cyclic collector rescans; the oracles use tuples
+    watched = (SetPartition.__init__, kreweras_complement)
+    assert _entered(lambda: kreweras_complement(singletons(3)), watched) == {
+        "SetPartition.__init__", "kreweras_complement",
+    }
+    zeta = MultiplicativeFunction.zeta(12)
+    calls = {
+        "mobius NC(7)": lambda: mobius_by_recursion(7, Lattice.NC),
+        "convolve NC(7)": lambda: convolve_lattice(zeta, zeta, 7, Lattice.NC),
+        "convolve ALL(7)": lambda: convolve_lattice(zeta, zeta, 7, Lattice.ALL),
+        "convolve INTERVAL(12)": lambda: convolve_lattice(zeta, zeta, 12, Lattice.INTERVAL),
+        "T2 at n = 6": lambda: verify_theorem(6, "T2"),
+    }
+    for name, call in calls.items():
+        assert not _entered(call, watched), name

@@ -160,6 +160,16 @@ def test_revert_examples():
         TruncatedSeries(3, [1, 1]).revert()
 
 
+def test_revert_at_order_zero():
+    # an order-0 series has no linear coefficient: identity(0) is its own inverse
+    zero = TruncatedSeries.identity(0)
+    assert zero.revert() == zero == zero.compose(zero)
+    with pytest.raises(ValueError, match="^reversion requires a delta series$"):
+        TruncatedSeries(0, [1]).revert()
+    with pytest.raises(ValueError, match="^no compositional inverse: linear coefficient is zero$"):
+        TruncatedSeries(1, [0, 0]).revert()
+
+
 def test_revert_is_two_sided_inverse():
     rng = random.Random(11)
     t = None
