@@ -42,12 +42,12 @@ class UsageError(Exception):
 
 
 def _read_input(spec: str) -> str:
-    if spec == "-":
-        return sys.stdin.read()
     try:
+        if spec == "-":
+            return sys.stdin.read()
         with open(spec, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read input {spec!r}: {exc}") from exc
 
 
@@ -84,14 +84,6 @@ def _load_moments(spec: str, order: int | None) -> MomentSequence:
             raise UsageError(f"named sequence {spec!r} needs a nonnegative --order")
         return named_sequence(spec, order)
     return _sequence_from_json(_parse_json(_read_input(spec)), order)
-
-
-def _load_sized(args, size: int, flag: str) -> MomentSequence:
-    """The input of a command of a given size: --order defaults to it, and no less is accepted."""
-    seq = _load_moments(args.input, size if args.order is None else args.order)
-    if seq.order < size:
-        raise UsageError(f"input order {seq.order} is below {flag} {size}")
-    return seq
 
 
 def _load_moment_pair(spec: str, order: int | None) -> tuple[MomentSequence, MomentSequence]:
@@ -197,7 +189,7 @@ MATRIX_LIMIT = 12
 def _cmd_matrix(args) -> int:
     if not 1 <= args.nmax <= MATRIX_LIMIT or not 1 <= args.kmax <= MATRIX_LIMIT:
         raise UsageError(f"--nmax and --kmax must lie in 1..{MATRIX_LIMIT}")
-    seq = _load_sized(args, args.nmax, "--nmax")
+    seq = _load_moments(args.input, args.nmax)
     _emit(cumulant_matrix(seq, args.nmax, args.kmax), args.output)
     return 0
 
@@ -238,7 +230,7 @@ def _cmd_volume(args) -> int:
     n = args.n
     if not 1 <= n <= VOLUME_LIMIT:
         raise UsageError(f"volume supports 1 <= --n <= {VOLUME_LIMIT}")
-    seq = _load_sized(args, n, "--n")
+    seq = _load_moments(args.input, n)
     report = {
         "n": n,
         "shape_volumes": [volume_shape_eval(seq, k) for k in range(1, n + 1)],
@@ -293,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="cumulant matrix over constant multipliers")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
     add_io(p)
     p.set_defaults(fn=_cmd_matrix)
 
@@ -308,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="volume and orbit tables")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
     add_io(p)
     p.set_defaults(fn=_cmd_volume, input="u")
 

@@ -77,9 +77,9 @@ class MomentSequence(Frozen):
         return len(self.values)
 
     def moment(self, k: int) -> Fraction:
-        """a_k, with a_0 = 1."""
-        if not 0 <= k <= len(self.values):
-            raise ValueError(f"index {k} outside 0..{self.order}")
+        """a_k, with a_0 = 1; the index is a plain int, never a bool."""
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= len(self.values):
+            raise ValueError(f"index {k!r} outside 0..{self.order}")
         return self.values[k - 1] if k else Fraction(1)
 
     g = f = moment  # read as multipliers g_n or multiplicative-function values f_n
@@ -376,11 +376,13 @@ class CumulantMatrix(Frozen):
         return len(self.entries[0]) if self.entries else 0
 
     def entry(self, n: int, k: int) -> Fraction:
+        _check_int(n, "row")
         if not 1 <= n <= self.rows:  # index 0 would read the last row
             raise ValueError(f"row {n} outside 1..{self.rows}")
         return self.column(k).values[n - 1]
 
     def column(self, k: int) -> MomentSequence:
+        _check_int(k, "column")
         if not 1 <= k <= self.cols:
             raise ValueError(f"column {k} outside 1..{self.cols}")
         return MomentSequence(tuple(row[k - 1] for row in self.entries))
@@ -463,10 +465,9 @@ def umbral_composition(
     sum on the unbarred sequences g_l/l! and a_k/k!, barred.
     """
     _check_orders(outer, inner)
-    kind = flavor.lower() if isinstance(flavor, str) else None
-    if kind not in ("egf", "ogf"):
+    if flavor not in ("egf", "ogf"):
         raise ValueError(f"flavor must be 'egf' or 'ogf', got {flavor!r}")
-    if kind == "ogf":
+    if flavor == "ogf":
         return _shape_sums(inner, lambda n, l: outer.values[l - 1])
     g = outer.unbar().values
     return _shape_sums(inner.unbar(), lambda n, l: g[l - 1]).bar()

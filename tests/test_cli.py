@@ -295,23 +295,26 @@ def test_matrix_bounds(capsys):
     assert code == 2 and out == ""
 
 
-def test_matrix_order_zero_is_not_ignored(capsys, monkeypatch):
-    argv = ("matrix", "--nmax", "3", "--kmax", "2", "--order", "0", "--input")
-    code, out, err = run(capsys, *argv, "u")
-    assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")
-    code, out, err = run(capsys, "matrix", "--nmax", "1", "--kmax", "1", "--input", "chi",
-                         "--order", "0")
-    assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 1\n")
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(1, 2, 3))))
-    code, out, err = run(capsys, *argv, "-")
-    assert (code, out, err) == (2, "", "error: input order 0 is below --nmax 3\n")
-    # volume reads its input, 'u' by default, by the same rule, with --n as its size
-    for order in ("0", "1"):
-        code, out, err = run(capsys, "volume", "--n", "3", "--order", order)
-        assert (code, out, err) == (2, "", f"error: input order {order} is below --n 3\n")
-    catalan = ("volume", "--n", "4", "--input", "catalan")
-    code, out, err = run(capsys, *catalan)
-    assert (code, out, err) == run(capsys, *catalan, "--order", "4") and code == 0
+def test_matrix_and_volume_read_their_input_at_their_size(capsys, monkeypatch, tmp_path):
+    # the size flag fixes how much input is read, so neither command takes --order
+    for argv in (["matrix", "--nmax", "3", "--kmax", "2", "--input", "u"], ["volume", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--order", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order 3" in capsys.readouterr().err
+    # an input shorter than the size is refused, from a file or from stdin
+    short = write_json(tmp_path, "short.json", sequence(1, 2))
+    for argv in (("matrix", "--nmax", "3", "--kmax", "2"), ("volume", "--n", "3")):
+        code, out, err = run(capsys, *argv, "--input", short)
+        assert (code, out, err) == (2, "", "error: requested order 3 exceeds input order 2\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(1, 2))))
+        code, out, err = run(capsys, *argv, "--input", "-")
+        assert (code, out, err) == (2, "", "error: requested order 3 exceeds input order 2\n")
+    # a longer one is read to the size, as the named sequence at that order
+    longer = write_json(tmp_path, "catalan.json", sequence(1, 2, 5, 14, 42, 132))
+    for argv in (("matrix", "--nmax", "4", "--kmax", "2"), ("volume", "--n", "4")):
+        code, out, err = run(capsys, *argv, "--input", "catalan")
+        assert (code, out, err) == run(capsys, *argv, "--input", longer) and code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +547,29 @@ def test_negative_order_is_a_usage_error(capsys, tmp_path):
         ("transform", "--theory", "free", "--direction", "c2m",
          "--input", path, "--order", "-2"),
         ("convolve", "--theory", "boolean", "--input", pair, "--order", "-1"),
-        ("volume", "--n", "2", "--input", "bell", "--order", "-1"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "--order" in err, (argv, err)
+
+
+def test_undecodable_input_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in [
+        ("transform", "--theory", "classical", "--direction", "m2c"),
+        ("convolve", "--theory", "free"),
+        ("matrix", "--nmax", "2", "--kmax", "2"),
+        ("series", "--op", "exp"),
+        ("volume", "--n", "2"),
+    ]:
+        for spec in (str(path), "-"):
+            # stdin is strict too, as under PYTHONIOENCODING=utf-8:strict
+            stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = run(capsys, *argv, "--input", spec)
+            assert code == 2 and out == "", (argv, spec, err)
+            assert err.startswith(f"error: cannot read input {spec!r}: 'utf-8' codec")
+            assert err.count("\n") == 1, err
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

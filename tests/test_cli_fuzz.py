@@ -2,9 +2,10 @@
 
 Arguments and JSON inputs are drawn from a small grammar: numerals of
 every accepted and refused form, sequences and series whose order is
-right or wrong, pairs, and malformed JSON.  Every subcommand runs on
-them at orders up to 8, and every size flag at 0, 1 and one past its
-limit.  Each argv passes argparse; the contract checked on every case:
+right or wrong, pairs, and malformed JSON, read from stdin or from a
+file, a few of which are not UTF-8.  Every subcommand runs on them at
+orders up to 8, and every size flag at 0, 1 and one past its limit.
+Each argv passes argparse; the contract checked on every case:
 
 - the exit code is 0, 1 or 2, never 3 (an internal error);
 - exit 0 or 1 writes one JSON document to stdout and nothing to stderr;
@@ -111,15 +112,20 @@ def multiplier(rng, order):
     return ",".join(str(rng.randint(-3, 3)) for _ in range(max(count, 1)))
 
 
-def with_input(rng, argv, item):
-    """Read the input from stdin (JSON text) or, for single sequences, a named one."""
+def with_input(rng, argv, item, path):
+    """Read the input from stdin or the file at path (JSON text, now and then
+    behind a byte that is not UTF-8) or, for single sequences, a named one."""
     if item is sequence and rng.random() < 0.3:
         return argv + [f"--input={rng.choice(NAMES)}"], ""
-    return argv + ["--input=-"], document(rng, item)
+    text = document(rng, item)
+    if rng.random() < 0.7:
+        return argv + ["--input=-"], text
+    path.write_bytes((b"\xff" if rng.random() < 0.15 else b"") + text.encode("utf-8"))
+    return argv + [f"--input={path}"], ""
 
 
-def draw(rng):
-    """One (argv, stdin text) case."""
+def draw(rng, path):
+    """One (argv, stdin text) case; a file input is written to path."""
     command = rng.choice(["transform", "convolve", "matrix", "series", "volume", "verify"])
     if command in ("transform", "convolve"):
         theory = rng.choice(THEORIES)
@@ -129,30 +135,31 @@ def draw(rng):
         if (theory == "abel") != (rng.random() < 0.1):
             argv.append(f"--g={multiplier(rng, rng.randint(0, MAX_ORDER))}")
         argv += order_flag(rng)
-        return with_input(rng, argv, sequence if command == "transform" else (sequence, sequence))
+        item = sequence if command == "transform" else (sequence, sequence)
+        return with_input(rng, argv, item, path)
     if command == "matrix":
         argv = [command, f"--nmax={size_flag(rng, MATRIX_LIMIT)}",
-                f"--kmax={size_flag(rng, MATRIX_LIMIT)}"] + order_flag(rng)
-        return with_input(rng, argv, sequence)
+                f"--kmax={size_flag(rng, MATRIX_LIMIT)}"]
+        return with_input(rng, argv, sequence, path)
     if command == "volume":
-        argv = [command, f"--n={size_flag(rng, VOLUME_LIMIT)}"] + order_flag(rng)
+        argv = [command, f"--n={size_flag(rng, VOLUME_LIMIT)}"]
         if rng.random() < 0.3:
             return argv, ""  # the default input, u
-        return with_input(rng, argv, sequence)
+        return with_input(rng, argv, sequence, path)
     if command == "series":
         op = rng.choice(SERIES_OPS)
         item = (series, series) if op in ("add", "mul", "compose") else series
-        return with_input(rng, [command, f"--op={op}"], item)
+        return with_input(rng, [command, f"--op={op}"], item, path)
     suite = rng.choice(sorted(_SUITES))
     n = rng.choice([0, 1, _SUITES[suite][0] + 1])
     return [command, f"--suite={suite}", f"--n={n}", f"--seed={rng.randint(-5, 5)}"], ""
 
 
-def test_cli_fuzz_exit_codes_and_streams(capsys, monkeypatch):
+def test_cli_fuzz_exit_codes_and_streams(capsys, monkeypatch, tmp_path):
     rng = random.Random(20)
     codes = {0: 0, 1: 0, 2: 0}
     for case in range(CASES):
-        argv, text = draw(rng)
+        argv, text = draw(rng, tmp_path / f"input-{case}.json")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         try:
             code = main(argv)

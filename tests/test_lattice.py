@@ -410,6 +410,12 @@ def test_verify_theorem_refuses_a_seed_that_is_not_an_int():
             verify_theorem(3, "T1", seed=seed)
 
 
+def test_verify_theorem_takes_each_name_in_one_spelling():
+    for which in ("t1", "T2 ", "Commutativity", b"T3"):
+        with pytest.raises(ValueError, match=f"^unknown theorem {re.escape(repr(which))}$"):
+            verify_theorem(3, which)
+
+
 def test_oracles_and_public_enumerations_list_the_same_lattices():
     # the oracles read bare block tuples; the public functions wrap the same ones, in order
     for lattice, limit in CONVOLVE_LIMITS.items():

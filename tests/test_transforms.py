@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,22 @@ def test_moment_sequence_basics():
         a.truncated(4)
     with pytest.raises(TypeError):
         seq(0.5)
+
+
+def test_indexes_are_plain_ints():
+    a = seq(5, 7)
+    for read in (a.moment, a.g, a.f):
+        assert read(0) == 1 and read(2) == 7
+        for k in (True, False, 1.0, 1.5, Fraction(1), "1", None, -1, 3):
+            with pytest.raises(ValueError, match=rf"^index {re.escape(repr(k))} outside 0\.\.2$"):
+                read(k)
+    matrix = cumulant_matrix(named_sequence("u", 3), 3, 2)
+    for n, k in ((True, 1), (1, True), (1.0, 1), (1, 2.0), (False, 1), (1, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            matrix.entry(n, k)
+    for k in (True, 1.0, None):
+        with pytest.raises(ValueError, match=rf"^column must be an integer, not {k!r}$"):
+            matrix.column(k)
 
 
 def test_bar_unbar():
@@ -601,6 +618,14 @@ def test_umbral_composition_matches_series_substitution():
     for flavor in ("mixed", 3):
         with pytest.raises(ValueError):
             umbral_composition(outer, inner, flavor)
+
+
+def test_umbral_composition_takes_each_flavor_in_one_spelling():
+    a = seq(1, 2)
+    for flavor in ("EGF", "Ogf", " egf", ["egf"]):
+        message = f"flavor must be 'egf' or 'ogf', got {flavor!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            umbral_composition(a, a, flavor)
 
 
 def test_umbral_composition_with_mobius_sequence_gives_cumulants():
