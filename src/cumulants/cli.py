@@ -15,7 +15,7 @@ import sys
 
 from .lattice import SUITES as _SUITES
 from .parking import orbit_moment_eval, volume_shape_eval
-from .series import TruncatedSeries, as_fraction
+from .series import DomainError, TruncatedSeries, as_fraction
 from .transforms import (
     MomentSequence,
     MultiplierSequence,
@@ -215,7 +215,7 @@ def _cmd_series(args) -> int:
             f = _load_series(args.input)
             unary = {"reciprocal": f.reciprocal, "revert": f.revert, "log": f.log, "exp": f.exp}
             result = unary[args.op]()
-    except ValueError as exc:
+    except DomainError as exc:  # a documented refusal; any other error is internal
         raise UsageError(str(exc)) from exc
     _emit(result, args.output)
     return 0

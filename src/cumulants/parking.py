@@ -29,42 +29,33 @@ def is_parking(entries) -> bool:
 
 
 def _parking_functions(n: int) -> list[tuple[int, ...]]:
-    # A prefix with `left` slots still open can be completed iff
-    # f(j) = #{entries <= j} - j >= -left for every j.  f starts at 0 and
-    # falls by at most 1 per step, so the values that may come next are
-    # exactly 1..vmax, where vmax is the first j with f(j) = -left
-    # (f(n) = -left always).  The last two entries are emitted in bulk.
-    out = []
-    counts = [0] * (n + 1)
-    tails = [[(w,) for w in range(1, m + 1)] for m in range(n + 1)]
+    # One state, the thresholds t.  For a prefix with l entries still to
+    # place, f(j) = #{entries <= j} - j has f(0) = 0, f(n) = -l and falls
+    # by at most 1 per step, so t_k, the first j with f(j) = -k, exists
+    # for k = 1..l, and the next entry may be any v in 1..t_l.  Appending
+    # v raises f by one from v on, so t'_k = t_k if t_k < v, else t_(k+1):
+    # v drops the first threshold >= v.  The empty prefix has t = (1..n).
+    # Completions depend on t alone and are kept for the last three
+    # entries only: kept for every length, they hold a second copy of
+    # the output (+38 MiB at n = 7).
+    tails = {}
 
-    def first_at(level: int) -> int:
-        running = 0
-        for j in range(1, n):
-            running += counts[j]
-            if running - j == level:
-                return j
-        return n
+    def walk(prefix, t, out):
+        # out += prefix + each completion of t; an empty prefix fills the table
+        if not t:
+            out.append(prefix)
+        elif len(t) <= 3 and prefix:
+            if t not in tails:
+                tails[t] = walk((), t, [])
+            out.extend(map(prefix.__add__, tails[t]))
+        else:
+            for i, (lo, hi) in enumerate(zip((0,) + t, t)):
+                child = t[:i] + t[i + 1:]  # v in lo+1..hi drops hi
+                for v in range(lo + 1, hi + 1):
+                    walk(prefix + (v,), child, out)
+        return out
 
-    def rec(prefix: tuple[int, ...], left: int) -> None:
-        vmax = first_at(-left)
-        if left == 1:
-            out.extend(map(prefix.__add__, tails[vmax]))
-            return
-        if left == 2:
-            # after v, the last entry may go up to vmax while v <= a, the
-            # first j with f(j) = -1, and up to a once v passes it
-            a = first_at(-1)
-            for v in range(1, vmax + 1):
-                out.extend(map((prefix + (v,)).__add__, tails[vmax if v <= a else a]))
-            return
-        for v in range(1, vmax + 1):
-            counts[v] += 1
-            rec(prefix + (v,), left - 1)
-            counts[v] -= 1
-
-    rec((), n)
-    return out
+    return walk((), tuple(range(1, n + 1)), [])
 
 
 def enumerate_parking(n: int) -> list[tuple[int, ...]]:

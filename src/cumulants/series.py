@@ -47,10 +47,14 @@ def _check_order(order, what: str = "order") -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
+class DomainError(ValueError):
+    """Operands a series operation refuses: outside its domain, or of unequal orders."""
+
+
 def _check_orders(a, b, kind: str = "sequence") -> None:
     """Two operands of one operation share one order."""
     if a.order != b.order:
-        raise ValueError(f"{kind} order mismatch: {a.order} != {b.order}")
+        raise DomainError(f"{kind} order mismatch: {a.order} != {b.order}")
 
 
 def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
@@ -194,7 +198,7 @@ class TruncatedSeries(Frozen):
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         if self.coeffs[0] == 0:
-            raise ValueError("series with zero constant term has no reciprocal")
+            raise DomainError("series with zero constant term has no reciprocal")
         n = self.order
         inv0 = 1 / self.coeffs[0]
         out = [inv0] + [Fraction(0)] * n
@@ -211,7 +215,7 @@ class TruncatedSeries(Frozen):
         """
         _check_orders(self, inner, "series")
         if inner.coeffs[0] != 0:
-            raise ValueError("composition requires a delta series (zero constant term)")
+            raise DomainError("composition requires a delta series (zero constant term)")
         acc = TruncatedSeries.constant(self.coeffs[self.order], self.order)
         for k in range(self.order - 1, -1, -1):
             acc = acc * inner + self.coeffs[k]
@@ -224,9 +228,9 @@ class TruncatedSeries(Frozen):
         [t^(m-1)] g^(-m) / m, read off one power of g truncated at t^(m-1).
         """
         if self.coeffs[0] != 0:
-            raise ValueError("reversion requires a delta series")
+            raise DomainError("reversion requires a delta series")
         if self.order and self.coeffs[1] == 0:  # order 0 is identity(0), its own inverse
-            raise ValueError("no compositional inverse: linear coefficient is zero")
+            raise DomainError("no compositional inverse: linear coefficient is zero")
         w = [Fraction(0)]
         for m in range(1, self.order + 1):
             g = TruncatedSeries(m - 1, self.coeffs[1:m + 1])  # d / t, cut at t^(m-1)
@@ -236,7 +240,7 @@ class TruncatedSeries(Frozen):
     def log(self) -> "TruncatedSeries":
         """Formal logarithm of a series with constant term 1."""
         if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
+            raise DomainError("log requires constant term 1")
         n = self.order
         out = [Fraction(0)] * (n + 1)
         # from f' = f * c': m f_m = sum_{k<=m} k c_k f_{m-k}
@@ -248,7 +252,7 @@ class TruncatedSeries(Frozen):
     def exp(self) -> "TruncatedSeries":
         """Formal exponential of a delta series."""
         if self.coeffs[0] != 0:
-            raise ValueError("exp requires a delta series")
+            raise DomainError("exp requires a delta series")
         n = self.order
         out = [Fraction(1)] + [Fraction(0)] * n
         for m in range(1, n + 1):

@@ -13,6 +13,7 @@ import pytest
 
 from cumulants import cli
 from cumulants.cli import main
+from cumulants.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -370,6 +371,38 @@ def test_series_errors(capsys, tmp_path):
         main(["series", "--op", "sqrt", "--input", zero])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("op, payload, message", [
+    ("reciprocal", series_json(2, [0, 1, 1]), "series with zero constant term has no reciprocal"),
+    ("compose", [series_json(1, [1, 1]), series_json(1, [1, 1])],
+     "composition requires a delta series (zero constant term)"),
+    ("revert", series_json(2, [1, 1, 0]), "reversion requires a delta series"),
+    ("revert", series_json(2, [0, 0, 1]), "no compositional inverse: linear coefficient is zero"),
+    ("log", series_json(1, [2, 1]), "log requires constant term 1"),
+    ("exp", series_json(1, [1, 1]), "exp requires a delta series"),
+    ("add", [series_json(1, [1, 1]), series_json(2, [1, 1, 1])], "series order mismatch: 1 != 2"),
+    ("mul", [series_json(2, [1, 1, 1]), series_json(1, [1, 1])], "series order mismatch: 2 != 1"),
+    ("compose", [series_json(1, [1, 1]), series_json(2, [0, 1, 1])],
+     "series order mismatch: 1 != 2"),
+])
+def test_series_refusals_exit_two(capsys, tmp_path, op, payload, message):
+    path = write_json(tmp_path, "in.json", payload)
+    code, out, err = run(capsys, "series", "--op", op, "--input", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_series_computation_error_exits_three(capsys, monkeypatch, tmp_path):
+    # only the documented refusals are usage errors; any other ValueError
+    # from the series code is an internal error
+    def broken(self):
+        raise ValueError("exp went wrong")
+
+    monkeypatch.setattr(TruncatedSeries, "exp", broken)
+    path = write_json(tmp_path, "t.json", series_json(2, [0, 1, 0]))
+    code, out, err = run(capsys, "series", "--op", "exp", "--input", path)
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: exp went wrong\n"
 
 
 def test_series_rejects_json_booleans(capsys, tmp_path):

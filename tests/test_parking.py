@@ -86,6 +86,14 @@ def test_enumeration_counts_and_order():
         enumerate_parking(PARKING_LIMIT + 1)
 
 
+def test_enumeration_at_the_limit_is_strictly_increasing():
+    # the filtered product above stops at n = 6; at the limit the order and
+    # validity are checked here, on the list the enumeration returns
+    listed = enumerate_parking(PARKING_LIMIT)
+    assert all(p < q for p, q in zip(listed, listed[1:]))
+    assert all(is_parking(p) for p in listed)
+
+
 def test_parking_type_and_orbit_size():
     assert parking_type((1, 1, 3)) == IntegerPartition((2, 1))
     assert parking_type((1, 2, 3)) == IntegerPartition((1, 1, 1))
