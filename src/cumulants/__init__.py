@@ -31,7 +31,6 @@ from .partitions import (
     SetPartition,
     count_by_shape,
     d_lambda,
-    falling_factorial,
     integer_partitions,
     interval_partitions,
     interval_type,
@@ -44,7 +43,7 @@ from .partitions import (
     single_block,
     singletons,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, falling_factorial
 from .transforms import (
     CumulantMatrix,
     MomentSequence,

@@ -44,6 +44,8 @@ class UsageError(Exception):
 def _read_input(spec: str) -> str:
     try:
         if spec == "-":
+            if sys.stdin is None:  # descriptor 0 was closed when the process started
+                raise OSError("stdin is closed")
             return sys.stdin.read()
         with open(spec, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -104,9 +106,7 @@ def _parse_g(spec: str, order: int) -> MultiplierSequence:
         if "," in spec:
             values = [as_fraction(part.strip()) for part in spec.split(",")]
             if len(values) != order:
-                raise UsageError(
-                    f"--g lists {len(values)} values but the order is {order}"
-                )
+                raise UsageError(f"--g lists {len(values)} values but the order is {order}")
             return MultiplierSequence.from_values(values)
         return MultiplierSequence.constant(as_fraction(spec), order)
     except (ValueError, ZeroDivisionError) as exc:
@@ -124,14 +124,16 @@ def _emit(result, path: str) -> None:
         text = json.dumps(obj, default=str) + "\n"
     except ValueError as exc:
         raise UsageError(f"result too large to write out: {exc}") from exc
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if path == "-":
+            if sys.stdout is None:  # descriptor 1 was closed when the process started
+                raise OSError("stdout is closed")
+            sys.stdout.write(text)
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output {path!r}: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot write output {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ from .parking import (
     volume_shape_eval,
 )
 from .partitions import (
-    Lattice, SetPartition, _interval_blocks, _kreweras_blocks, _restricted_growth, check_size,
-    interval_type,
+    Lattice, SetPartition, _interval_blocks, _kreweras_blocks, _restricted_growth, interval_type,
 )
-from .series import _check_int, _check_order
+from .series import _check_int, _check_order, check_size
 from .transforms import (
     MomentSequence, MultiplierSequence, _abel_pairing, abel_copy_oracle, abel_oracle,
     boolean_convolve, boolean_free_transport, boolean_from_moments, classical_from_moments,

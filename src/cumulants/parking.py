@@ -13,8 +13,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .partitions import IntegerPartition, check_size
-from .series import as_fraction
+from .partitions import IntegerPartition
+from .series import as_fraction, check_size
 from .transforms import MomentSequence, _abel_weight, _shape_sum, free_from_moments
 
 PARKING_LIMIT = 7

@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .series import Frozen, _setattr
+from .series import Frozen, _setattr, check_size, falling_factorial
 
 # B_11 = 678,570 set partitions take 1.8-2.0 s and 182 MiB; the 208,012
 # noncrossing partitions of 12 take 0.7 s and 78 MiB
@@ -34,14 +34,6 @@ class Lattice(Enum):
     ALL = "all"
     NC = "nc"
     INTERVAL = "interval"
-
-
-def falling_factorial(x, k: int):
-    """(x)_k = x (x - 1) ... (x - k + 1), with (x)_0 = 1; exact for int or Fraction."""
-    result = 1
-    for i in range(k):
-        result = result * (x - i)
-    return result
 
 
 class IntegerPartition(Frozen):
@@ -158,12 +150,6 @@ def singletons(n: int) -> SetPartition:
 def single_block(n: int) -> SetPartition:
     """The maximum of the refinement order: one block, none at n = 0."""
     return SetPartition.from_blocks(n, [list(range(1, n + 1))] if n else [])
-
-
-def check_size(n, limit, what: str, least: int = 1) -> None:
-    """The one size and degree rule: an int, not a bool, in least..limit."""
-    if not isinstance(n, int) or isinstance(n, bool) or not least <= n <= limit:
-        raise ValueError(f"{what} {least} <= n <= {limit}")
 
 
 def _restricted_growth(n: int, noncrossing: bool) -> list[tuple[tuple[int, ...], ...]]:

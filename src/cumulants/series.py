@@ -1,10 +1,12 @@
 """Truncated formal power series over exact rational coefficients.
 
-A series carries an explicit truncation order N and exactly N + 1
-coefficients c_0..c_N; every operation stays at that order and never
-rounds.  Series with unit constant term support log and fractional
-powers, delta series (zero constant term) support exp, composition
-and reversion.
+Every argument rule of the package lives here too: `as_fraction`, the
+order checks and `check_size`, so that `transforms` needs no other
+module of the package.  A series carries an explicit truncation order N
+and exactly N + 1 coefficients c_0..c_N; every operation stays at that
+order and never rounds.  Series with unit constant term support log and
+fractional powers, delta series (zero constant term) support exp,
+composition and reversion.
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ def _check_orders(a, b, kind: str = "sequence") -> None:
     """Two operands of one operation share one order."""
     if a.order != b.order:
         raise DomainError(f"{kind} order mismatch: {a.order} != {b.order}")
+
+
+def check_size(n, limit, what: str, least: int = 1) -> None:
+    """The one size and degree rule: an int, not a bool, in least..limit."""
+    if not isinstance(n, int) or isinstance(n, bool) or not least <= n <= limit:
+        raise ValueError(f"{what} {least} <= n <= {limit}")
+
+
+def falling_factorial(x, k: int):
+    """(x)_k = x (x - 1) ... (x - k + 1), with (x)_0 = 1; exact for int or Fraction."""
+    result = 1
+    for i in range(k):
+        result = result * (x - i)
+    return result
 
 
 def exact_json(data, kind: str, key: str) -> tuple[int, list[Fraction]]:
@@ -135,9 +151,7 @@ class TruncatedSeries(Frozen):
         _check_order(order)
         cs = [as_fraction(c) for c in coeffs]
         if len(cs) > order + 1:
-            raise ValueError(
-                f"got {len(cs)} coefficients for truncation order {order}"
-            )
+            raise ValueError(f"got {len(cs)} coefficients for truncation order {order}")
         cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         _setattr(self, "order", order)
         _setattr(self, "coeffs", tuple(cs))
@@ -297,7 +311,5 @@ class TruncatedSeries(Frozen):
     def from_json(cls, data: dict) -> "TruncatedSeries":
         order, coeffs = exact_json(data, "series", "coeffs")
         if len(coeffs) != order + 1:
-            raise ValueError(
-                f"coefficient count {len(coeffs)} does not match order {order}"
-            )
+            raise ValueError(f"coefficient count {len(coeffs)} does not match order {order}")
         return cls(order, coeffs)

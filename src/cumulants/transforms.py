@@ -39,10 +39,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .partitions import check_size, falling_factorial
 from .series import (
     Frozen, TruncatedSeries, _check_int, _check_order, _check_orders, _setattr, as_fraction,
-    exact_json,
+    check_size, exact_json, falling_factorial,
 )
 
 

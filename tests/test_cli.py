@@ -13,7 +13,7 @@ import pytest
 
 from cumulants import cli
 from cumulants.cli import main
-from cumulants.series import TruncatedSeries
+from cumulants.series import TruncatedSeries, as_fraction
 
 
 def run(capsys, *argv):
@@ -200,6 +200,19 @@ def test_exponent_past_the_digit_limit_is_a_usage_error(capsys, monkeypatch, hug
         "--g", huge, "--input", "u", "--order", "2",
     )
     assert code == 2 and out == "" and "--g" in err, err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exponent_too_long_for_int_is_refused_at_once(capsys, monkeypatch):
+    # int() refuses the exponent itself, so the guard of as_fraction leaves it to Fraction
+    huge = "1e" + "9" * 5000
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        as_fraction(huge)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"order": 1, "values": [huge]})))
+    code, out, err = run(capsys, "transform", "--theory", "classical", "--direction", "m2c")
+    assert code == 2 and out == "", err
+    assert err.startswith("error: sequence 'values': Exceeds the limit (4300 digits) "), err
     assert time.perf_counter() - start < 1.0
 
 
@@ -603,6 +616,38 @@ def test_undecodable_input_is_a_usage_error(capsys, monkeypatch, tmp_path):
             assert code == 2 and out == "", (argv, spec, err)
             assert err.startswith(f"error: cannot read input {spec!r}: 'utf-8' codec")
             assert err.count("\n") == 1, err
+
+
+def test_closed_standard_streams_are_usage_errors(capsys, monkeypatch, tmp_path):
+    # Python sets sys.stdin or sys.stdout to None when that descriptor is closed at start-up
+    transform = ("transform", "--theory", "free", "--direction", "m2c")
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, *transform, "--input", "-")
+    assert (code, out, err) == (2, "", "error: cannot read input '-': stdin is closed\n")
+    series = write_json(tmp_path, "series.json", {"order": 1, "coeffs": ["0", "1"]})
+    pair = write_json(tmp_path, "pair.json", [sequence(1, 2), sequence(3, 4)])
+    monkeypatch.setattr("sys.stdout", None)
+    for argv in [
+        transform + ("--input", "catalan", "--order", "3"),
+        ("convolve", "--theory", "free", "--input", pair),
+        ("matrix", "--nmax", "2", "--kmax", "2", "--input", "bell"),
+        ("series", "--op", "exp", "--input", series),
+        ("volume", "--n", "2"),
+        ("verify", "--suite", "lattice", "--n", "2"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "error: cannot write output '-': stdout is closed\n"), argv
+
+
+def test_failed_write_to_stdout_is_a_usage_error(capsys, monkeypatch):
+    # a reader that went away, or a full disk, as an unwritable --output file
+    class Broken:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", Broken())
+    code, out, err = run(capsys, "matrix", "--nmax", "2", "--kmax", "2", "--input", "bell")
+    assert (code, err) == (2, "error: cannot write output '-': [Errno 32] Broken pipe\n")
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

@@ -14,9 +14,11 @@ pins (``tests/test_output_pins.py``) and the closed-form anchors
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import CodeType
 
 import pytest
@@ -108,3 +110,26 @@ def test_fast_map_and_oracle_share_only_plumbing(name):
     assert fast and oracle
     shared = sorted(code.co_name for code in (fast & oracle) - ALLOWED)
     assert not shared, f"{name}: fast map and oracle both call {shared}"
+
+
+# The same independence, read statically off the imports: each module may import
+# only modules of the layers to its left, so `transforms` and `partitions`, which
+# share a layer, meet only in `series`.
+LAYERS = [("series",), ("partitions", "transforms"), ("parking",), ("lattice",), ("cli",)]
+
+
+def _imported(path):
+    """The sibling modules that one source file names in its ``from .x import`` lines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def test_modules_import_only_the_layers_to_their_left():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    package = Path(transforms.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert modules == set(rank), "every module of the package has its layer"
+    edges = {(name, other) for name in rank for other in _imported(package / f"{name}.py")}
+    assert ("cli", "transforms") in edges  # the reader sees the imports at all
+    wrong = sorted((a, b) for a, b in edges if rank[b] >= rank[a])
+    assert not wrong, f"imports against the layering: {wrong}"

@@ -291,6 +291,11 @@ def test_count_by_shape_examples():
     assert count_by_shape(IntegerPartition((2, 1)), Lattice.INTERVAL) == 2
 
 
+def test_count_by_shape_refuses_an_unknown_lattice():
+    with pytest.raises(ValueError, match="^unknown lattice: 'nc'$"):
+        count_by_shape(IntegerPartition((2, 1)), "nc")
+
+
 def test_count_by_shape_matches_enumeration():
     enumerations = {
         Lattice.ALL: set_partitions,
