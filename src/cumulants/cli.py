@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 3 an internal error, reported as one ``internal error: <Type>: <message>``
 line on stderr.  Only the JSON result goes to stdout; diagnostics go to
-stderr.  The verification suites are `lattice.SUITES`; they run from a
-fixed default seed, so output is byte-identical across runs.
+stderr, or nowhere when it is closed.  The verification suites are
+`lattice.SUITES`; they run from a fixed default seed, so output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -320,11 +321,15 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        line, code = f"error: {exc}\n", 2
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        line, code = f"internal error: {type(exc).__name__}: {exc}\n", 3
+    try:  # with stderr closed the line is lost, never sent to stdout
+        sys.stderr.write(line)
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # None when descriptor 2 was closed at start-up
+        pass
+    return code
 
 
 if __name__ == "__main__":

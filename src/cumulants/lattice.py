@@ -276,9 +276,8 @@ def _suite_abel(n: int, seed: int) -> list:
 def _suite_volume(n: int, seed: int) -> list:
     rng = random.Random(seed)
     # at all-ones each parking function adds 1/n!, so this is their count
-    total = math.factorial(n) * volume_bruteforce([1] * n)
-    ok = total == (n + 1) ** (n - 1)
-    checks = [{"name": "PARKING_COUNT", "pass": ok, "n_factorial_volume_at_ones": str(total)}]
+    count = ((n + 1) ** (n - 1), math.factorial(n) * volume_bruteforce([1] * n))
+    checks = [_check("PARKING_COUNT", [count], seed)]
 
     def shape_pairs():
         for k in range(1, min(n, 6) + 1):
@@ -313,13 +312,9 @@ def _suite_transport(n: int, seed: int) -> list:
                 boolean_free_transport(free_convolve(a, b)),
             )
 
-    checks = [_check("INTERTWINING", pairs(), seed)]
-    catalan = named_sequence("catalan", n)
     expected = MomentSequence.from_values([-1] + [0] * (n - 1))
-    checks.append(
-        {"name": "CATALAN_TRANSPORT", "pass": boolean_free_transport(catalan) == expected}
-    )
-    return checks
+    catalan = (expected, boolean_free_transport(named_sequence("catalan", n)))
+    return [_check("INTERTWINING", pairs(), seed), _check("CATALAN_TRANSPORT", [catalan], seed)]
 
 
 def _suite_parametrization(n: int, seed: int) -> list:

@@ -120,7 +120,7 @@ class SetPartition(Frozen):
         seen = [x for b in cleaned for x in b]
         # element types first: sorting a str or None next to an int fails
         plain = all(isinstance(x, int) and not isinstance(x, bool) for x in seen)
-        if not plain or sorted(seen) != list(range(1, n + 1)):
+        if len(seen) != n or not plain or sorted(seen) != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}")
         cleaned = sorted((tuple(sorted(b)) for b in cleaned), key=lambda b: b[0])
         return cls(n, tuple(cleaned))

@@ -21,11 +21,11 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, str):
         # Fraction("1e20000000") builds 10**20000000 before any size check, so an
-        # exponent is held to the int<->str digit limit that a plain numeral meets
+        # exponent is held to the int<->str digit limit, CPython's default if it is off
         mantissa, e, exponent = value.lower().partition("e")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         try:
-            power = int(exponent) if e and limit else 0
+            power = int(exponent) if e else 0
         except ValueError:  # malformed, or itself too long: Fraction reports it
             power = 0
         if power and abs(power) + sum(ch.isdigit() for ch in mantissa) > limit:

@@ -166,12 +166,9 @@ _NAMED = {
 def named_sequence(name: str, order: int) -> MomentSequence:
     """Built-in sequences: u, chi, epsilon, ubar, uD, bell, catalan."""
     _check_order(order)
-    try:
-        gen = _NAMED[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sequence name {name!r}; choose from {sorted(_NAMED)}"
-        ) from None
+    gen = _NAMED.get(name) if isinstance(name, str) else None
+    if gen is None:
+        raise ValueError(f"unknown sequence name {name!r}; choose from {sorted(_NAMED)}")
     return MomentSequence.from_values(gen(order))
 
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, interpreter=(), **kwargs):
+    """``python -m cumulants.cli`` in a fresh interpreter, on this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    command = [sys.executable, *interpreter, "-m", "cumulants.cli", *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=30, **kwargs)
 
 
 def run_json(capsys, *argv):
@@ -214,6 +227,18 @@ def test_exponent_too_long_for_int_is_refused_at_once(capsys, monkeypatch):
     assert code == 2 and out == "", err
     assert err.startswith("error: sequence 'values': Exceeds the limit (4300 digits) "), err
     assert time.perf_counter() - start < 1.0
+
+
+def test_exponent_cap_holds_with_the_digit_limit_off():
+    # the limit reads 0 when off, so the cap falls back to CPython's default of 4300 digits
+    off = ("-X", "int_max_str_digits=0")
+    transform = ("transform", "--theory", "classical", "--direction", "m2c")
+    huge = json.dumps({"order": 1, "values": ["1e20000000"]}).encode()
+    done = run_process(*transform, interpreter=off, input=huge)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: sequence 'values': exponent 20000000 writes out past 4300 digits\n"
+    done = run_process(*transform, interpreter=off, input=b'{"order": 1, "values": ["1e4000"]}')
+    assert done.returncode == 0 and json.loads(done.stdout)["values"] == ["1" + "0" * 4000]
 
 
 @pytest.mark.parametrize(
@@ -473,8 +498,8 @@ def test_volume_cap(capsys, tmp_path):
 VERIFY_DIGESTS = {
     "lattice": "8f82b35239e6688770a2ce7cfb8b9ee6e083a6339994f062deca74ee139b6deb",
     "abel": "db8f341b293a9a74d073fc09696b88b0904dc1bb6f49c0c8afa661e9dc65db21",
-    "volume": "8b8a3fa99967ef8aa8262a4d8fb06a5e5448ef5c09fb75ad57a3edd4754b86ee",
-    "transport": "8e020242b9fd7330b625e5f07916454494569d962f976fb7e80fa9d194b993ba",
+    "volume": "da36ce9a6ecf00051116f7af0dc678bc6f4312780e0af8e240a3145e17816ef2",
+    "transport": "070398d9301e15867a1b5c63c5996b779d4d76b1c3aeebf7f895fb27cfc73c34",
     "parametrization": "883030c5336cd40fa7f2f71dd8829ecb18ee6bc566bf1ef1cbc6926b0f6e223c",
 }
 
@@ -650,6 +675,31 @@ def test_failed_write_to_stdout_is_a_usage_error(capsys, monkeypatch):
     assert (code, err) == (2, "error: cannot write output '-': [Errno 32] Broken pipe\n")
 
 
+def test_diagnostics_never_reach_stdout(tmp_path):
+    # descriptor 2 closed at start-up: sys.stderr is None, and print would fall back to stdout
+    missing = str(tmp_path / "missing.json")
+    argv = ("transform", "--theory", "free", "--direction", "m2c", "--input", missing)
+    done = run_process(*argv, preexec_fn=lambda: os.close(2))
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
+def test_unwritable_stderr_keeps_the_exit_code(capsys, monkeypatch):
+    # a shell's 2>&- can leave sys.stderr open on a closed descriptor
+    class Closed:
+        def write(self, text):
+            raise OSError(errno.EBADF, "Bad file descriptor")
+
+    def broken(args):
+        raise ValueError("shape sum went wrong")
+
+    monkeypatch.setattr(cli, "_cmd_transform", broken)
+    transform = ("transform", "--theory", "free", "--direction", "m2c", "--input", "u")
+    for stderr in (Closed(), None):
+        monkeypatch.setattr("sys.stderr", stderr)
+        assert run(capsys, "matrix", "--nmax", "0", "--kmax", "2")[:2] == (2, "")
+        assert run(capsys, *transform, "--order", "3")[:2] == (3, "")
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(args):
         raise ValueError("shape sum went wrong")
@@ -699,6 +749,35 @@ def test_failing_check_reports_counterexample(capsys, monkeypatch):
     assert example["got"]["values"] == [
         str(2**k * Fraction(v)) for k, v in enumerate(example["expected"]["values"], start=1)
     ]
+
+
+def test_parking_count_reports_a_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr("cumulants.lattice.volume_bruteforce", lambda values: 0)
+    code, out, err = run(capsys, "verify", "--suite", "volume", "--n", "3")
+    assert code == 1
+    data = json.loads(out)
+    check = data["checks"][0]
+    assert data["first_failure"] == check["name"] == "PARKING_COUNT"
+    assert check["pass"] is False and check["checked"] == 1
+    # 4^2 parking functions of length 3
+    assert check["counterexample"] == {"seed": 0, "case": 0, "expected": "16", "got": "0"}
+
+
+def test_catalan_transport_reports_a_counterexample(capsys, monkeypatch):
+    from cumulants import lattice
+
+    real = lattice.boolean_free_transport
+    monkeypatch.setattr(lattice, "boolean_free_transport", lambda m: real(m).scaled(2))
+    code, out, err = run(capsys, "verify", "--suite", "transport", "--n", "3")
+    assert code == 1
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "CATALAN_TRANSPORT"]
+    assert check["pass"] is False and check["checked"] == 1
+    assert check["counterexample"] == {
+        "seed": 0,
+        "case": 0,
+        "expected": {"order": 3, "values": ["-1", "0", "0"]},
+        "got": {"order": 3, "values": ["-2", "0", "0"]},
+    }
 
 
 @pytest.mark.parametrize("which", ["T1", "T2", "T3"])

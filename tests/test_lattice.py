@@ -13,6 +13,7 @@ import pytest
 
 from cumulants.lattice import (
     CONVOLVE_LIMITS,
+    SUITES,
     MultiplicativeFunction,
     _elements,
     convolve_lattice,
@@ -400,6 +401,16 @@ def test_degrees_take_the_size_rule(call, least):
             call(n)
     call(least)
     call(2)
+
+
+def test_every_suite_record_counts_its_cases():
+    # every record comes from one rule, so each reports how many pairs it compared
+    for name, (_, suite) in SUITES.items():
+        for n in range(1, 4):
+            for check in suite(n, 0):
+                assert isinstance(check["name"], str) and check["pass"] is True, (name, n)
+                checked = check["checked"]
+                assert type(checked) is int and checked >= 1, (name, n, check["name"])
 
 
 def test_verify_theorem_refuses_a_seed_that_is_not_an_int():

@@ -111,6 +111,9 @@ def test_booleans_and_floats_are_not_parts_or_elements():
     for n, blocks in ((True, [[1]]), ("2", [[1], [2]])):
         with pytest.raises(ValueError, match="^a set partition needs 0 <= n <= inf$"):
             SetPartition.from_blocks(n, blocks)
+    # the count is compared before 1..n is built
+    with pytest.raises(ValueError, match=f"^blocks do not partition 1..{10**12}$"):
+        SetPartition.from_blocks(10**12, [[1]])
 
 
 def test_set_partitions_counts_and_order():

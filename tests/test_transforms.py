@@ -163,6 +163,9 @@ def test_named_sequences():
     assert named_sequence("catalan", 8) == seq(1, 2, 5, 14, 42, 132, 429, 1430)
     with pytest.raises(ValueError):
         named_sequence("zeta", 3)
+    for name in (["u"], {}):  # unhashable names get the same refusal
+        with pytest.raises(ValueError, match="^unknown sequence name"):
+            named_sequence(name, 3)
     for name in _NAMED:
         for order in range(7):
             assert named_sequence(name, order).order == order, (name, order)
