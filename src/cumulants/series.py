@@ -11,6 +11,7 @@ composition and reversion.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -20,13 +21,21 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        # Fraction("1e20000000") builds 10**20000000 before any size check, so an
-        # exponent is held to the int<->str digit limit, CPython's default if it is off
-        mantissa, e, exponent = value.lower().partition("e")
+        # int() reads each digit run (numerator, denominator, decimals, exponent) in
+        # quadratic time and Fraction("1e20000000") builds 10**20000000, so the runs
+        # and the exponent are held to the int<->str digit limit, CPython's default
+        # if it is off; a long run is refused in CPython's words, before any int()
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        if len(value) > limit:  # no shorter string holds a longer run
+            runs = re.findall(r"[\d_]+", value)  # digits, with underscores between them
+            longest = max([len(r) - r.count("_") for r in runs], default=0)
+            if longest > limit:
+                raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                                 f"conversion: value has {longest} digits")
+        mantissa, e, exponent = value.lower().partition("e")
         try:
             power = int(exponent) if e else 0
-        except ValueError:  # malformed, or itself too long: Fraction reports it
+        except ValueError:  # malformed: Fraction reports it
             power = 0
         if power and abs(power) + sum(ch.isdigit() for ch in mantissa) > limit:
             raise ValueError(f"exponent {power} writes out past {limit} digits")

@@ -241,6 +241,41 @@ def test_exponent_cap_holds_with_the_digit_limit_off():
     assert done.returncode == 0 and json.loads(done.stdout)["values"] == ["1" + "0" * 4000]
 
 
+# each digit run of a numeral: numerator, denominator, decimals, exponent
+LONG_RUNS = ["9" * 400_000, "1/" + "7" * 400_000, "0." + "3" * 400_000, "1e" + "9" * 400_000]
+
+
+def test_long_digit_runs_are_refused_with_the_digit_limit_off(capsys, monkeypatch):
+    # int() and Fraction() would read each run in quadratic time, with no limit to stop them
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for huge in LONG_RUNS + ["-" + "1_2" * 200_000]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\) "):
+                as_fraction(huge)
+            doc = json.dumps({"order": 1, "values": [huge]})
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            code, out, err = run(capsys, "transform", "--theory", "classical", "--direction", "m2c")
+            assert code == 2 and out == "" and "(4300 digits)" in err, err[:200]
+            assert err.startswith("error: sequence 'values': ") and err.count("\n") == 1
+            assert time.perf_counter() - start < 1.0, huge[:10]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_numerals_at_the_digit_limit_are_read_with_it_on_or_off():
+    at_limit = ["9" * 4300, "1/" + "7" * 4300, "0." + "3" * 4300, "1_2" * 2150, "1e4000"]
+    want = [Fraction(s) for s in at_limit]
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (4300, 0):
+            sys.set_int_max_str_digits(setting)
+            assert [as_fraction(s) for s in at_limit] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -458,10 +458,11 @@ def _entered(thunk, watched) -> set:
 
 def test_lattice_oracles_build_no_set_partition():
     # a tracked object per element is what the cyclic collector rescans; the oracles use tuples
-    watched = (SetPartition.__init__, kreweras_complement)
+    watched = (SetPartition.__init__, SetPartition.bulk, kreweras_complement)
     assert _entered(lambda: kreweras_complement(singletons(3)), watched) == {
         "SetPartition.__init__", "kreweras_complement",
     }
+    assert _entered(lambda: noncrossing_partitions(3), watched) == {"SetPartition.bulk"}
     zeta = MultiplicativeFunction.zeta(12)
     calls = {
         "mobius NC(7)": lambda: mobius_by_recursion(7, Lattice.NC),

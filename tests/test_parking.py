@@ -148,6 +148,15 @@ def test_volume_bruteforce_small_cases():
         volume_bruteforce([1] * (PARKING_LIMIT + 1))
 
 
+def test_volume_is_abel_form_at_one_head_and_equal_tail():
+    # Pitman and Stanley (2002): V_n(a, b, ..., b) = a (a + n b)^(n-1) / n!, Abel's
+    # form, from no code of either volume route; a = b = 1 is the parking count
+    for a, b in [(1, 1), (Fraction(2, 3), Fraction(-5, 7)), (3, Fraction(1, 2))]:
+        for n in range(1, PARKING_LIMIT + 1):
+            abel = Fraction(a) * (a + n * b) ** (n - 1) / math.factorial(n)
+            assert volume_bruteforce([a] + [b] * (n - 1)) == abel, (a, b, n)
+
+
 def test_volume_at_ones_counts_parking_functions():
     for n in range(1, 8):
         total = math.factorial(n) * volume_bruteforce([1] * n)

@@ -15,7 +15,14 @@ from pathlib import Path
 import pytest
 
 from cumulants.lattice import MultiplicativeFunction
-from cumulants.partitions import IntegerPartition, IntervalType, SetPartition, set_partitions
+from cumulants.partitions import (
+    IntegerPartition,
+    IntervalType,
+    SetPartition,
+    interval_partitions,
+    noncrossing_partitions,
+    set_partitions,
+)
 from cumulants.series import TruncatedSeries
 from cumulants.transforms import CumulantMatrix, MomentSequence
 
@@ -98,6 +105,26 @@ def test_set_partitions_carry_no_per_object_state():
     assert index == expected
     index[1] = 99
     assert partition.block_index == expected
+
+
+@pytest.mark.parametrize(
+    "enumerate_", [set_partitions, noncrossing_partitions, interval_partitions],
+    ids=lambda f: f.__name__,
+)
+def test_bulk_built_partitions_are_the_validated_values(enumerate_):
+    # the enumerations build through SetPartition.bulk, past __init__ and from_blocks
+    for n in range(1, 7):
+        for partition in enumerate_(n):
+            twin = SetPartition.from_blocks(n, partition.blocks)
+            assert type(partition) is SetPartition and partition == twin
+            assert hash(partition) == hash(twin) and repr(partition) == repr(twin)
+            copied = pickle.loads(pickle.dumps(partition))
+            assert type(copied) is SetPartition and copied == partition
+            for name in SetPartition.FIELDS:
+                with pytest.raises(AttributeError):
+                    setattr(partition, name, None)
+            assert not hasattr(partition, "__dict__")
+    assert SetPartition.bulk(3, []) == []
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
