@@ -74,10 +74,7 @@ class MultiplicativeFunction(MomentSequence):
 
     def on_partition(self, partition: SetPartition) -> Fraction:
         """f_tau = product of f over the block sizes of tau."""
-        out = Fraction(1)
-        for block in partition.blocks:
-            out *= self.f(len(block))
-        return out
+        return math.prod((self.f(len(block)) for block in partition.blocks), start=Fraction(1))
 
 
 def eval_interval(
@@ -117,8 +114,7 @@ def convolve_lattice(
     Terms are multiplied out on integers and summed per exact denominator.
     """
     _check_bounds(n, lattice)
-    if f.order < n or g.order < n:
-        raise ValueError(f"functions must provide values up to n = {n}")
+    check_size(n, min(f.order, g.order), "convolutions of these functions need")
     # f_s at index s, g_s at n + s
     nums, dens = zip((1, 1), *(v.as_integer_ratio() for v in f.values[:n] + g.values[:n]))
     sums: dict[int, int] = {}

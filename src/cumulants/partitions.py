@@ -19,7 +19,7 @@ interval partitions.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
@@ -61,24 +61,15 @@ class IntegerPartition(Frozen):
         return len(self.parts)
 
     def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return Counter(self.parts)
 
     @property
     def parts_factorial(self) -> int:
-        out = 1
-        for p in self.parts:
-            out *= math.factorial(p)
-        return out
+        return math.prod(map(math.factorial, self.parts))
 
     @property
     def mult_factorial(self) -> int:
-        out = 1
-        for m in self.multiplicities().values():
-            out *= math.factorial(m)
-        return out
+        return math.prod(map(math.factorial, self.multiplicities().values()))
 
 
 def integer_partitions(n: int) -> list[IntegerPartition]:
@@ -281,13 +272,8 @@ def interval_type(sigma: SetPartition, pi: SetPartition) -> IntervalType:
     if not leq_refinement(sigma, pi):
         raise ValueError("interval type needs sigma <= pi in refinement order")
     owner = pi.block_index
-    counts = [0] * pi.length
-    for block in sigma.blocks:
-        counts[owner[block[0]]] += 1
-    k = [0] * pi.n
-    for c in counts:
-        k[c - 1] += 1
-    return IntervalType(tuple(k))
+    k = Counter(Counter(owner[block[0]] for block in sigma.blocks).values())
+    return IntervalType(tuple(k[i] for i in range(1, pi.n + 1)))
 
 
 def kreweras_complement(partition: SetPartition) -> SetPartition:

@@ -264,6 +264,26 @@ def test_long_digit_runs_are_refused_with_the_digit_limit_off(capsys, monkeypatc
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_long_exponents_are_refused_in_one_short_line(capsys, monkeypatch, sign):
+    # an exponent run at the digit cap passes it, and is named by its length, not written out
+    huge = "1e" + sign + "9" * 4300
+    words = ("negative " if sign else "") + "exponent of 4300 digits writes out past 4300 digits"
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (4300, 0):
+            sys.set_int_max_str_digits(setting)
+            with pytest.raises(ValueError) as info:
+                as_fraction(huge)
+            assert str(info.value) == words
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(huge, 1))))
+            code, out, err = run(capsys, "transform", "--theory", "classical", "--direction", "m2c")
+            assert (code, out) == (2, "") and err == f"error: sequence 'values': {words}\n"
+            assert len(err) < 100
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_numerals_at_the_digit_limit_are_read_with_it_on_or_off():
     at_limit = ["9" * 4300, "1/" + "7" * 4300, "0." + "3" * 4300, "1_2" * 2150, "1e4000"]
     want = [Fraction(s) for s in at_limit]

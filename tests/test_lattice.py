@@ -111,6 +111,12 @@ def test_convolve_bounds_and_order_checks():
     short = MultiplicativeFunction.zeta(2)
     with pytest.raises(ValueError):
         convolve_lattice(short, zeta, 3, Lattice.ALL)
+    # the shorter of the two functions bounds n, in either position
+    three = MultiplicativeFunction.zeta(3)
+    for f, g in ((three, zeta), (zeta, three), (three, three)):
+        with pytest.raises(ValueError) as info:
+            convolve_lattice(f, g, 4, Lattice.NC)
+        assert str(info.value) == "convolutions of these functions need 1 <= n <= 3"
 
 
 def test_unknown_lattice_is_a_value_error():

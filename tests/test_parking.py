@@ -234,8 +234,9 @@ def test_volume_errors():
         volume_shape_eval(seq, 0)
     with pytest.raises(ValueError):
         volume_shape_eval(seq, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         volume_bruteforce_symmetric(seq, 4)
+    assert str(info.value) == "brute-force volumes of this sequence need 1 <= n <= 3"
     with pytest.raises(ValueError):
         orbit_moment_eval(seq, 4)
 

@@ -10,7 +10,7 @@ import pytest
 
 from cumulants.lattice import MultiplicativeFunction, mobius_function
 from cumulants.partitions import Lattice
-from cumulants.series import TruncatedSeries, as_fraction
+from cumulants.series import DomainError, TruncatedSeries, as_fraction
 from cumulants.transforms import MomentSequence, named_sequence
 
 
@@ -302,6 +302,8 @@ def test_power():
         with pytest.raises(ValueError) as info:
             TruncatedSeries(3, coeffs).power(exponent)
         assert str(info.value) == message
+        # a bool exponent breaks an argument rule; the other four lie outside the domain
+        assert type(info.value) is (ValueError if exponent is True else DomainError)
 
 
 def test_json_roundtrip():
