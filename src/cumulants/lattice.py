@@ -88,8 +88,8 @@ def eval_interval(
 
 # kept for the checks that read one lattice twice in a fresh interpreter:
 # without it verify_theorem(5, "COMMUTATIVITY") and T2 at n = 5 and 6 took
-# 5-10 % longer, call only (medians of 31 alternating python3 -S runs on a
-# shared 2-core Xeon); a warm interpreter shows no difference
+# 4-14 % longer, call only (median ratios of 41 alternating python3 -S pairs
+# on a shared 2-core Xeon); a warm interpreter shows no difference
 @functools.lru_cache(maxsize=None)
 def _elements(n: int, lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if lattice is Lattice.INTERVAL:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from cumulants.lattice import _elements
 from cumulants.partitions import (
     IntegerPartition,
     Lattice,
@@ -196,6 +197,20 @@ def test_enumerations_match_recorded_digests():
         finally:
             gc.enable()
         assert hashlib.sha256(listed).hexdigest() == digest, enumerate_.__name__
+
+
+def test_enumerations_share_unchanged_blocks():
+    # each element adds at most one block tuple of its own, and each of 1..n
+    # opens its one-element block once per call: B(9) read 38,154 distinct
+    # block tuples when every prefix re-tupled its blocks, against 21,155 here
+    for n in range(3, 10):
+        public = (set_partitions, noncrossing_partitions, interval_partitions)
+        listings = [[p.blocks for p in enumerate_(n)] for enumerate_ in public]
+        # uncached, so the session keeps no B(9)
+        listings += [_elements.__wrapped__(n, lattice) for lattice in Lattice]
+        for listed in listings:
+            distinct = len({id(block) for blocks in listed for block in blocks})
+            assert distinct <= len(listed) + n, (n, len(listed), distinct)
 
 
 def test_shape():
