@@ -26,7 +26,6 @@ from .parking import (
 )
 from .partitions import (
     IntegerPartition,
-    IntervalType,
     Lattice,
     SetPartition,
     count_by_shape,

@@ -266,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p):
-        p.add_argument("--input", default="-", help="file path, '-' for stdin, or a named sequence")
+    def add_io(p, source="file path, '-' for stdin, or a named sequence", default="-"):
+        p.add_argument("--input", default=default, help=source)
         p.add_argument("--output", default="-", help="file path or '-' for stdout")
 
     p = sub.add_parser("transform", help="moment/cumulant transforms")
@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True, choices=["classical", "boolean", "free", "abel"])
     p.add_argument("--g", default=None)
     p.add_argument("--order", type=int, default=None)
-    add_io(p)
+    add_io(p, "file path or '-' for stdin")
     p.set_defaults(fn=_cmd_convolve)
 
     p = sub.add_parser("matrix", help="cumulant matrix over constant multipliers")
@@ -297,13 +297,13 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["add", "mul", "reciprocal", "compose", "revert", "log", "exp"],
     )
-    add_io(p)
+    add_io(p, "file path or '-' for stdin")
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("volume", help="volume and orbit tables")
     p.add_argument("--n", type=int, required=True)
-    add_io(p)
-    p.set_defaults(fn=_cmd_volume, input="u")
+    add_io(p, "file path, '-' for stdin, or a named sequence; 'u' when not given", "u")
+    p.set_defaults(fn=_cmd_volume)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))

@@ -81,7 +81,7 @@ def eval_interval(
     func: MultiplicativeFunction, sigma: SetPartition, pi: SetPartition
 ) -> Fraction:
     """f(sigma, pi) = prod_i f_i^(k_i) over the interval type of [sigma, pi]."""
-    k = interval_type(sigma, pi).k
+    k = interval_type(sigma, pi)
     powers = (func.f(i) ** k_i for i, k_i in enumerate(k, start=1) if k_i)
     return math.prod(powers, start=Fraction(1))
 

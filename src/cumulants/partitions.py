@@ -258,21 +258,13 @@ def leq_refinement(sigma: SetPartition, pi: SetPartition) -> bool:
     return True
 
 
-class IntervalType(Frozen):
-    """k_i = number of pi-blocks that are unions of exactly i sigma-blocks."""
-
-    FIELDS = ("k",)
-
-    def __init__(self, k: tuple[int, ...]):
-        _setattr(self, "k", k)
-
-
-def interval_type(sigma: SetPartition, pi: SetPartition) -> IntervalType:
+def interval_type(sigma: SetPartition, pi: SetPartition) -> tuple[int, ...]:
+    """(k_1, ..., k_n): k_i = number of pi-blocks that are unions of exactly i sigma-blocks."""
     if not leq_refinement(sigma, pi):
         raise ValueError("interval type needs sigma <= pi in refinement order")
     owner = pi.block_index
     k = Counter(Counter(owner[block[0]] for block in sigma.blocks).values())
-    return IntervalType(tuple(k[i] for i in range(1, pi.n + 1)))
+    return tuple(k[i] for i in range(1, pi.n + 1))
 
 
 def kreweras_complement(partition: SetPartition) -> SetPartition:

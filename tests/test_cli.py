@@ -332,6 +332,18 @@ def test_exponent_and_decimal_notation_are_accepted(capsys, monkeypatch, text, v
     assert data == {"order": 2, "values": ["1", c_2]}
 
 
+@pytest.mark.parametrize("text", ["1e", "2E+", "1e5x", "1e1.5"])
+def test_malformed_exponents_are_left_to_fraction(capsys, monkeypatch, text):
+    # int() refuses the exponent, so the exponent cap passes it on and Fraction names the numeral
+    words = f"Invalid literal for Fraction: {text!r}"
+    with pytest.raises(ValueError) as info:
+        as_fraction(text)
+    assert str(info.value) == words
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(sequence(text))))
+    code, out, err = run(capsys, "transform", "--theory", "classical", "--direction", "m2c")
+    assert (code, out) == (2, "") and err == f"error: sequence 'values': {words}\n"
+
+
 # ---------------------------------------------------------------------------
 # convolve
 
@@ -542,6 +554,42 @@ def test_volume_cap(capsys, tmp_path):
         assert code == 2 and out == "" and str(cap) in err
     data = run_json(capsys, "volume", "--n", "7")
     assert data["orbit_moments"][-1] == "429"
+
+
+# ---------------------------------------------------------------------------
+# --input help
+
+# the other arguments each subcommand needs to run on `--input u`
+INPUT_U = {
+    "transform": ["--theory", "free", "--direction", "m2c", "--order", "3"],
+    "convolve": ["--theory", "free", "--order", "3"],
+    "matrix": ["--nmax", "3", "--kmax", "2"],
+    "series": ["--op", "exp"],
+    "volume": ["--n", "3"],
+}
+
+
+def input_help(capsys, command) -> str:
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    return text.split("--input INPUT ", 1)[1].split(" --output OUTPUT", 1)[0]
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_U))
+def test_input_help_offers_named_sequences_only_where_they_are_read(
+    capsys, monkeypatch, tmp_path, command
+):
+    monkeypatch.chdir(tmp_path)  # no file named u
+    source = input_help(capsys, command)
+    offered = "named sequence" in source
+    assert offered == (command in ("transform", "matrix", "volume")), source
+    assert ("'u' when not given" in source) == (command == "volume"), source
+    code, out, err = run(capsys, command, *INPUT_U[command], "--input", "u")
+    if offered:
+        assert (code, err) == (0, "") and json.loads(out)
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: cannot read input 'u': "), err
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 from cumulants.lattice import MultiplicativeFunction
 from cumulants.partitions import (
     IntegerPartition,
-    IntervalType,
     SetPartition,
     interval_partitions,
     noncrossing_partitions,
@@ -32,7 +31,6 @@ HALF = (Fraction(1), Fraction(1, 2))
 CASES = [
     (IntegerPartition, ((2, 1),), "IntegerPartition(parts=(2, 1))"),
     (SetPartition, (3, ((1, 3), (2,))), "SetPartition(n=3, blocks=((1, 3), (2,)))"),
-    (IntervalType, ((0, 0, 1),), "IntervalType(k=(0, 0, 1))"),
     (MomentSequence, (HALF,), "MomentSequence(values=(Fraction(1, 1), Fraction(1, 2)))"),
     (CumulantMatrix, ((HALF,),), "CumulantMatrix(entries=((Fraction(1, 1), Fraction(1, 2)),))"),
     (
