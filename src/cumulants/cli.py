@@ -224,8 +224,8 @@ def _cmd_series(args) -> int:
     return 0
 
 
-# volume tables are shape sums over every degree up to n; n = 24 takes
-# about 0.6 s, and the cost grows with the partition numbers beyond it
+# volume tables are shape sums over every degree up to n; `volume --n 24` takes
+# about 0.25 s as a fresh process, and the cost grows with the partition numbers
 VOLUME_LIMIT = 24
 
 

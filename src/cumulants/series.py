@@ -223,16 +223,8 @@ class TruncatedSeries(Frozen):
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise DomainError("series with zero constant term has no reciprocal")
-        n = self.order
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            s = sum(self.coeffs[k] * out[m - k] for k in range(1, m + 1))
-            out[m] = -inv0 * s
-        return TruncatedSeries(n, out)
+        """Multiplicative inverse, the e = -1 case of `power`; requires a nonzero constant term."""
+        return self.power(-1)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute a delta series for t, truncating at the common order.

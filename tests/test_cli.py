@@ -217,7 +217,7 @@ def test_exponent_past_the_digit_limit_is_a_usage_error(capsys, monkeypatch, hug
 
 
 def test_exponent_too_long_for_int_is_refused_at_once(capsys, monkeypatch):
-    # int() refuses the exponent itself, so the guard of as_fraction leaves it to Fraction
+    # a 5000-digit exponent is a digit run past the limit: as_fraction refuses it before any int()
     huge = "1e" + "9" * 5000
     start = time.perf_counter()
     with pytest.raises(ValueError):

@@ -31,8 +31,11 @@ from cumulants.transforms import (
     MomentSequence,
     MultiplierSequence,
     _bell_row,
+    abel_oracle,
     boolean_from_moments,
+    boolean_from_moments_series,
     classical_from_moments,
+    classical_from_moments_series,
     cumulant_matrix,
     dot_operation,
     factorial_moments,
@@ -40,6 +43,7 @@ from cumulants.transforms import (
     generalized_cumulants,
     moments_from_classical,
     moments_from_free,
+    moments_from_free_series,
     moments_from_generalized,
     umbral_composition,
 )
@@ -237,3 +241,41 @@ def test_ordinary_row_at_ones_is_binomial():
     for n in range(1, 16):
         expected = [0] + [math.comb(n - 1, l - 1) for l in range(1, n + 1)]
         assert _bell_row(ones, n) == expected, n
+
+
+# ---------------------------------------------------------------------------
+# every shape-sum map at the orders bench/run.py times (18-26), against
+# generating-function routes that share no code with _bell_row
+
+
+def test_shape_sums_at_the_timed_orders():
+    rng = random.Random(26)
+    a = random_sequence(rng, 26)
+    assert classical_from_moments(a) == classical_from_moments_series(a)
+    assert boolean_from_moments(a) == boolean_from_moments_series(a)
+    assert moments_from_free(a) == moments_from_free_series(a)
+
+    a = random_sequence(rng, 22)
+    assert moments_from_free_series(free_from_moments(a)) == a
+    assert classical_from_moments_series(moments_from_classical(a)) == a
+
+    n, checked = 20, (1, 10, 20)
+    a, c = random_sequence(rng, n), random_sequence(rng, n)
+    for g in (MultiplierSequence.constant(3, n), MultiplierSequence.index(n),
+              MultiplierSequence.from_values(random_sequence(rng, n).values)):
+        cumulants, moments = generalized_cumulants(a, g), moments_from_generalized(c, g)
+        for k in checked:
+            assert cumulants.values[k - 1] == abel_oracle(a, g, k), (g, k)
+            assert abel_oracle(moments, g, k) == c.values[k - 1], (g, k)
+    matrix = cumulant_matrix(a, n, 3)
+    for col in range(1, 4):
+        g = MultiplierSequence.constant(col, n)
+        for k in checked:
+            assert matrix.entry(k, col) == abel_oracle(a, g, k), (col, k)
+
+    g, a = random_sequence(rng, 22), random_sequence(rng, 22)
+    delta = a.to_ogf() - 1
+    assert umbral_composition(g, a, "ogf") == MomentSequence.from_ogf(g.to_ogf().compose(delta))
+    delta = a.to_egf() - 1
+    assert umbral_composition(g, a, "egf") == MomentSequence.from_egf(g.to_egf().compose(delta))
+    assert dot_operation(g, a) == MomentSequence.from_egf(g.to_egf().compose(a.to_egf().log()))
