@@ -16,7 +16,7 @@ import sys
 
 from .lattice import SUITES as _SUITES
 from .parking import orbit_moment_eval, volume_shape_eval
-from .series import DomainError, TruncatedSeries, as_fraction
+from .series import LIMITS, DomainError, TruncatedSeries, as_fraction
 from .transforms import (
     MomentSequence,
     MultiplierSequence,
@@ -186,12 +186,9 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
-MATRIX_LIMIT = 12
-
-
 def _cmd_matrix(args) -> int:
-    if not 1 <= args.nmax <= MATRIX_LIMIT or not 1 <= args.kmax <= MATRIX_LIMIT:
-        raise UsageError(f"--nmax and --kmax must lie in 1..{MATRIX_LIMIT}")
+    if not 1 <= args.nmax <= LIMITS["matrix"] or not 1 <= args.kmax <= LIMITS["matrix"]:
+        raise UsageError(f"--nmax and --kmax must lie in 1..{LIMITS['matrix']}")
     seq = _load_moments(args.input, args.nmax)
     _emit(cumulant_matrix(seq, args.nmax, args.kmax), args.output)
     return 0
@@ -224,15 +221,10 @@ def _cmd_series(args) -> int:
     return 0
 
 
-# volume tables are shape sums over every degree up to n; `volume --n 24` takes
-# about 0.25 s as a fresh process, and the cost grows with the partition numbers
-VOLUME_LIMIT = 24
-
-
 def _cmd_volume(args) -> int:
-    n = args.n
-    if not 1 <= n <= VOLUME_LIMIT:
-        raise UsageError(f"volume supports 1 <= --n <= {VOLUME_LIMIT}")
+    n, limit = args.n, LIMITS["volume"]
+    if not 1 <= n <= limit:
+        raise UsageError(f"volume supports 1 <= --n <= {limit}")
     seq = _load_moments(args.input, n)
     report = {
         "n": n,

@@ -23,21 +23,17 @@ import random
 from fractions import Fraction
 
 from .parking import (
-    PARKING_LIMIT, moments_via_volume, volume_bruteforce, volume_bruteforce_symmetric,
-    volume_shape_eval,
+    moments_via_volume, volume_bruteforce, volume_bruteforce_symmetric, volume_shape_eval,
 )
 from .partitions import (
     Lattice, SetPartition, _interval_blocks, _kreweras_blocks, _restricted_growth, interval_type,
 )
-from .series import _check_int, _check_order, check_size
+from .series import LIMITS, _check_int, _check_order, check_size
 from .transforms import (
     MomentSequence, MultiplierSequence, _abel_pairing, abel_copy_oracle, abel_oracle,
     boolean_convolve, boolean_free_transport, boolean_from_moments, classical_from_moments,
     free_convolve, free_from_moments, generalized_cumulants, moments_from_free, named_sequence,
 )
-
-CONVOLVE_LIMITS = {Lattice.ALL: 7, Lattice.NC: 7, Lattice.INTERVAL: 12}
-THEOREM_LIMIT = 6
 
 
 class MultiplicativeFunction(MomentSequence):
@@ -98,9 +94,9 @@ def _elements(n: int, lattice: Lattice) -> tuple[tuple[tuple[int, ...], ...], ..
 
 
 def _check_bounds(n: int, lattice: Lattice) -> None:
-    if lattice not in CONVOLVE_LIMITS:
+    if not isinstance(lattice, Lattice):
         raise ValueError(f"unknown lattice: {lattice!r}")
-    check_size(n, CONVOLVE_LIMITS[lattice], f"{lattice.value} lattice computations support")
+    check_size(n, LIMITS[lattice.value], f"{lattice.value} lattice computations support")
 
 
 def convolve_lattice(
@@ -194,7 +190,7 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
     """
     if which not in ("T1", "T2", "T3", "COMMUTATIVITY"):
         raise ValueError(f"unknown theorem {which!r}")
-    check_size(n, THEOREM_LIMIT, "theorem checks support")
+    check_size(n, LIMITS["theorem checks"], "theorem checks support")
     _check_int(seed, "seed")  # the counterexample's seed must replay with ``verify --seed``
     rng = random.Random(seed)
     f_mf = MultiplicativeFunction.from_sequence(_random_sequence(rng, n))
@@ -238,7 +234,7 @@ def verify_theorem(n: int, which: str, seed: int = 0) -> dict:
 def _suite_lattice(n: int, seed: int) -> list:
     checks = []
     for which in ("T1", "T2", "T3", "COMMUTATIVITY"):
-        report = verify_theorem(min(n, THEOREM_LIMIT), which, seed=seed)
+        report = verify_theorem(min(n, LIMITS["theorem checks"]), which, seed=seed)
         checks.append({"name": report.pop("theorem"), **report})
 
     def delta_pairs():
@@ -274,15 +270,16 @@ def _suite_volume(n: int, seed: int) -> list:
     # at all-ones each parking function adds 1/n!, so this is their count
     count = ((n + 1) ** (n - 1), math.factorial(n) * volume_bruteforce([1] * n))
     checks = [_check("PARKING_COUNT", [count], seed)]
+    shapes = range(1, min(n, LIMITS["volume shape checks"]) + 1)
 
     def shape_pairs():
-        for k in range(1, min(n, 6) + 1):
+        for k in shapes:
             seq = _random_sequence(rng, k)
             yield volume_bruteforce_symmetric(seq, k), volume_shape_eval(seq, k)
 
     catalan_pairs = (
         (named_sequence("catalan", k).values[-1], volume_shape_eval(named_sequence("ubar", k), k))
-        for k in range(1, min(n, 6) + 1)
+        for k in shapes
     )
 
     def round_trips():
@@ -347,9 +344,9 @@ def _suite_parametrization(n: int, seed: int) -> list:
 
 # name -> (largest n, suite)
 SUITES = {
-    "lattice": (CONVOLVE_LIMITS[Lattice.ALL], _suite_lattice),
-    "abel": (12, _suite_abel),
-    "volume": (PARKING_LIMIT, _suite_volume),
-    "transport": (12, _suite_transport),
-    "parametrization": (12, _suite_parametrization),
+    "lattice": (LIMITS["all"], _suite_lattice),
+    "abel": (LIMITS["abel suite"], _suite_abel),
+    "volume": (LIMITS["parking functions"], _suite_volume),
+    "transport": (LIMITS["transport suite"], _suite_transport),
+    "parametrization": (LIMITS["parametrization suite"], _suite_parametrization),
 }

@@ -14,10 +14,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .partitions import IntegerPartition
-from .series import as_fraction, check_size
+from .series import LIMITS, as_fraction, check_size
 from .transforms import MomentSequence, _abel_weight, _shape_sum, free_from_moments
-
-PARKING_LIMIT = 7
 
 
 def is_parking(entries) -> bool:
@@ -60,7 +58,7 @@ def _parking_functions(n: int) -> list[tuple[int, ...]]:
 
 def enumerate_parking(n: int) -> list[tuple[int, ...]]:
     """All parking functions of length n in lexicographic order."""
-    check_size(n, PARKING_LIMIT, "parking enumeration supports")
+    check_size(n, LIMITS["parking functions"], "parking enumeration supports")
     return _parking_functions(n)
 
 
@@ -85,7 +83,7 @@ def volume_bruteforce(xs) -> Fraction:
     """
     values = [as_fraction(x) for x in xs]
     n = len(values)
-    check_size(n, PARKING_LIMIT, "brute-force volume supports")
+    check_size(n, LIMITS["parking functions"], "brute-force volume supports")
     d = math.lcm(*(x.denominator for x in values))
     scaled = [0] + [x.numerator * (d // x.denominator) for x in values]
     total = sum(math.prod(map(scaled.__getitem__, p)) for p in _parking_functions(n))
@@ -101,7 +99,7 @@ def volume_bruteforce_symmetric(seq: MomentSequence, n: int) -> Fraction:
     so the sum runs on the integers d^m a_m, d the common denominator of
     a_1..a_n, and is divided by d^n n! once at the end.
     """
-    check_size(n, PARKING_LIMIT, "brute-force volume supports")
+    check_size(n, LIMITS["parking functions"], "brute-force volume supports")
     check_size(n, seq.order, "brute-force volumes of this sequence need")
     entries = [seq.moment(m) for m in range(1, n + 1)]
     d = math.lcm(*(a.denominator for a in entries))

@@ -24,13 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 
-from .series import Frozen, _setattr, check_size, falling_factorial
-
-# B_11 = 678,570 set partitions take 1.2-1.4 s and 154 MiB; the 208,012
-# noncrossing partitions of 12 take 0.29-0.35 s and 58 MiB
-SET_PARTITION_LIMIT = 11
-NONCROSSING_PARTITION_LIMIT = 12
-INTERVAL_PARTITION_LIMIT = 16
+from .series import LIMITS, Frozen, _setattr, check_size, falling_factorial
 
 
 class Lattice(Enum):
@@ -190,7 +184,7 @@ def _restricted_growth(n: int, noncrossing: bool) -> list[tuple[tuple[int, ...],
 
 def set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of [n] in restricted-growth-string order."""
-    check_size(n, SET_PARTITION_LIMIT, "set partition enumeration supports")
+    check_size(n, LIMITS["set partitions"], "set partition enumeration supports")
     return SetPartition.bulk(n, _restricted_growth(n, noncrossing=False))
 
 
@@ -216,7 +210,7 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
     Generated directly, so the cost follows the Catalan number, not the
     Bell number.
     """
-    check_size(n, NONCROSSING_PARTITION_LIMIT, "noncrossing enumeration supports")
+    check_size(n, LIMITS["noncrossing partitions"], "noncrossing enumeration supports")
     return SetPartition.bulk(n, _restricted_growth(n, noncrossing=True))
 
 
@@ -226,7 +220,7 @@ def is_interval(partition: SetPartition) -> bool:
 
 
 def interval_partitions(n: int) -> list[SetPartition]:
-    check_size(n, INTERVAL_PARTITION_LIMIT, "interval partition enumeration supports")
+    check_size(n, LIMITS["interval partitions"], "interval partition enumeration supports")
     return SetPartition.bulk(n, _interval_blocks(n))
 
 

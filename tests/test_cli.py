@@ -18,7 +18,7 @@ import pytest
 
 from cumulants import cli
 from cumulants.cli import main
-from cumulants.series import TruncatedSeries, as_fraction
+from cumulants.series import LIMITS, TruncatedSeries, as_fraction
 
 
 def run(capsys, *argv):
@@ -545,7 +545,7 @@ def test_volume_with_input(capsys, tmp_path):
 
 
 def test_volume_cap(capsys, tmp_path):
-    cap = cli.VOLUME_LIMIT
+    cap = LIMITS["volume"]
     assert cap >= 7
     # rejected before the input is read
     missing = str(tmp_path / "missing.json")

@@ -20,7 +20,8 @@ import random
 
 import pytest
 
-from cumulants.cli import MATRIX_LIMIT, VOLUME_LIMIT, _SUITES, main
+from cumulants.cli import _SUITES, main
+from cumulants.series import LIMITS
 
 CASES = 800
 MAX_ORDER = 8
@@ -138,11 +139,11 @@ def draw(rng, path):
         item = sequence if command == "transform" else (sequence, sequence)
         return with_input(rng, argv, item, path)
     if command == "matrix":
-        argv = [command, f"--nmax={size_flag(rng, MATRIX_LIMIT)}",
-                f"--kmax={size_flag(rng, MATRIX_LIMIT)}"]
+        argv = [command, f"--nmax={size_flag(rng, LIMITS['matrix'])}",
+                f"--kmax={size_flag(rng, LIMITS['matrix'])}"]
         return with_input(rng, argv, sequence, path)
     if command == "volume":
-        argv = [command, f"--n={size_flag(rng, VOLUME_LIMIT)}"]
+        argv = [command, f"--n={size_flag(rng, LIMITS['volume'])}"]
         if rng.random() < 0.3:
             return argv, ""  # the default input, u
         return with_input(rng, argv, sequence, path)

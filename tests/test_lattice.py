@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 
 from cumulants.lattice import (
-    CONVOLVE_LIMITS,
     SUITES,
     MultiplicativeFunction,
     _elements,
@@ -41,7 +40,7 @@ from cumulants.partitions import (
     single_block,
     singletons,
 )
-from cumulants.series import TruncatedSeries
+from cumulants.series import LIMITS, TruncatedSeries
 from cumulants.transforms import (
     MomentSequence,
     MultiplierSequence,
@@ -64,6 +63,7 @@ ENUMERATE = {
     Lattice.NC: noncrossing_partitions,
     Lattice.INTERVAL: interval_partitions,
 }
+LATTICE_CAPS = {lattice: LIMITS[lattice.value] for lattice in Lattice}
 
 
 def random_seq(rng: random.Random, order: int) -> MomentSequence:
@@ -103,7 +103,7 @@ def test_convolve_zeta_squared_counts_elements():
 
 def test_convolve_bounds_and_order_checks():
     zeta = MultiplicativeFunction.zeta(20)
-    for lattice, limit in CONVOLVE_LIMITS.items():
+    for lattice, limit in LATTICE_CAPS.items():
         with pytest.raises(ValueError):
             convolve_lattice(zeta, zeta, limit + 1, lattice)
         with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_convolve_matches_per_block_reference():
     # the literal sum with one Fraction product per block, on both sides
     for seed, digits in ((46, 0), (47, 40)):
         rng = random.Random(seed)
-        for lattice, limit in CONVOLVE_LIMITS.items():
+        for lattice, limit in LATTICE_CAPS.items():
             f, g = _draw(rng, limit, digits), _draw(rng, limit, digits)
             for n in range(1, limit + 1):
                 expected = Fraction(0)
@@ -435,7 +435,7 @@ def test_verify_theorem_takes_each_name_in_one_spelling():
 
 def test_oracles_and_public_enumerations_list_the_same_lattices():
     # the oracles read bare block tuples; the public functions wrap the same ones, in order
-    for lattice, limit in CONVOLVE_LIMITS.items():
+    for lattice, limit in LATTICE_CAPS.items():
         for n in range(1, limit + 1):
             assert _elements(n, lattice) == tuple(p.blocks for p in ENUMERATE[lattice](n))
     for n in range(1, 8):

@@ -20,8 +20,6 @@ from fractions import Fraction
 import pytest
 
 from cumulants.lattice import (
-    CONVOLVE_LIMITS,
-    THEOREM_LIMIT,
     MultiplicativeFunction,
     convolve_lattice,
     mobius_by_recursion,
@@ -29,7 +27,7 @@ from cumulants.lattice import (
 )
 from cumulants.parking import orbit_moment_eval, volume_shape_eval
 from cumulants.partitions import Lattice
-from cumulants.series import TruncatedSeries
+from cumulants.series import LIMITS, TruncatedSeries
 from cumulants.transforms import (
     MomentSequence,
     abel_oracle,
@@ -237,7 +235,7 @@ def test_every_map_is_pinned_and_every_lattice_pin_runs_at_its_limit():
     assert {name for name, *_ in PINS} == set(MAPS)
     for (name, _, _, order) in PINS:
         if name.startswith(("convolve_lattice", "mobius_by_recursion")):
-            assert order == CONVOLVE_LIMITS[Lattice(name.rsplit("-", 1)[1])], name
+            assert order == LIMITS[name.rsplit("-", 1)[1]], name
 
 
 @pytest.mark.parametrize(
@@ -311,7 +309,7 @@ def test_every_theorem_is_pinned_at_every_n():
     assert set(THEOREM_PINS) == {
         (which, n, seed)
         for which in ("T1", "T2", "T3", "COMMUTATIVITY")
-        for n in range(1, THEOREM_LIMIT + 1)
+        for n in range(1, LIMITS["theorem checks"] + 1)
         for seed in (0, 5)
     }
 

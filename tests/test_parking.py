@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from cumulants.parking import (
-    PARKING_LIMIT,
     enumerate_parking,
     is_parking,
     moments_via_volume,
@@ -22,6 +21,7 @@ from cumulants.parking import (
     volume_shape_eval,
 )
 from cumulants.partitions import IntegerPartition, falling_factorial, integer_partitions
+from cumulants.series import LIMITS
 from cumulants.transforms import (
     MomentSequence,
     MultiplierSequence,
@@ -83,13 +83,13 @@ def test_enumeration_counts_and_order():
     with pytest.raises(ValueError):
         enumerate_parking(0)
     with pytest.raises(ValueError):
-        enumerate_parking(PARKING_LIMIT + 1)
+        enumerate_parking(LIMITS["parking functions"] + 1)
 
 
 def test_enumeration_at_the_limit_is_strictly_increasing():
     # the filtered product above stops at n = 6; at the limit the order and
     # validity are checked here, on the list the enumeration returns
-    listed = enumerate_parking(PARKING_LIMIT)
+    listed = enumerate_parking(LIMITS["parking functions"])
     assert all(p < q for p, q in zip(listed, listed[1:]))
     assert all(is_parking(p) for p in listed)
 
@@ -145,14 +145,14 @@ def test_volume_bruteforce_small_cases():
     assert volume_bruteforce([x, y]) == (x * x + 2 * x * y) / 2
     assert volume_bruteforce([1]) == 1
     with pytest.raises(ValueError):
-        volume_bruteforce([1] * (PARKING_LIMIT + 1))
+        volume_bruteforce([1] * (LIMITS["parking functions"] + 1))
 
 
 def test_volume_is_abel_form_at_one_head_and_equal_tail():
     # Pitman and Stanley (2002): V_n(a, b, ..., b) = a (a + n b)^(n-1) / n!, Abel's
     # form, from no code of either volume route; a = b = 1 is the parking count
     for a, b in [(1, 1), (Fraction(2, 3), Fraction(-5, 7)), (3, Fraction(1, 2))]:
-        for n in range(1, PARKING_LIMIT + 1):
+        for n in range(1, LIMITS["parking functions"] + 1):
             abel = Fraction(a) * (a + n * b) ** (n - 1) / math.factorial(n)
             assert volume_bruteforce([a] + [b] * (n - 1)) == abel, (a, b, n)
 

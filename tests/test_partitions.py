@@ -413,12 +413,6 @@ def test_noncrossing_enumeration_matches_filtering():
         noncrossing_partitions(13)
 
 
-def test_set_partition_cap_is_eleven():
-    # B_12 = 4,213,597 partitions would need about 0.9 GiB at the 154 MiB B_11 peaks at
-    with pytest.raises(ValueError):
-        set_partitions(12)
-
-
 def test_enumerations_are_not_kept_after_use():
     # a fresh interpreter, so no earlier test has filled a cache
     script = (

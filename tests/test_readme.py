@@ -8,6 +8,7 @@ import shlex
 from pathlib import Path
 
 from cumulants.cli import main
+from cumulants.series import LIMITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,3 +41,16 @@ def test_readme_cli_examples(capsys, monkeypatch):
         # '...' in the README stands for output left out
         pattern = ".*".join(map(re.escape, shown.split("...")))
         assert re.fullmatch(pattern + "\n", out, re.S), (argv, out)
+
+
+def limits_table() -> list[tuple[str, int]]:
+    """(cap, n) for each row of the table in the README's "Enumeration limits" section."""
+    section = README.read_text(encoding="utf-8").split("## Enumeration limits", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [(name, int(n)) for name, n in re.findall(r"^\| `([^`]+)` \| (\d+) \|", section, re.M)]
+
+
+def test_readme_limits_table_is_the_limits_table():
+    rows = limits_table()
+    assert len(rows) == len(dict(rows)), rows  # no cap listed twice
+    assert dict(rows) == LIMITS

@@ -225,6 +225,14 @@ def test_revert_matches_coefficientwise_solution():
         assert d.revert() == _revert_by_composition(d)
 
 
+def test_revert_past_order_29_gives_the_catalan_numbers():
+    # t - t^2 = t (1 - t) reverts to t C(t) = sum C_(m-1) t^m, C the Catalan
+    # generating function (1 - sqrt(1 - 4t)) / 2t; the closed form shares no code with revert
+    w = TruncatedSeries(40, [0, 1, -1]).revert()
+    catalan = [math.comb(2 * k, k) // (k + 1) for k in range(40)]
+    assert w.coeffs == (0, *catalan)
+
+
 def test_log_exp():
     n = 6
     exp = TruncatedSeries(n, [Fraction(1, math.factorial(k)) for k in range(n + 1)])
