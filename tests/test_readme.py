@@ -54,3 +54,22 @@ def test_readme_limits_table_is_the_limits_table():
     rows = limits_table()
     assert len(rows) == len(dict(rows)), rows  # no cap listed twice
     assert dict(rows) == LIMITS
+
+
+# caps the README states in prose outside the table, each with the entry it names
+PROSE_CAPS = [
+    ("abel suite", r"The `abel` suite runs for n = 1\.\.(\d+):"),
+    ("abel suite", r"`cumulants verify --suite abel --n (\d+)` takes"),
+    ("set partitions", r"All 678,570 set partitions of n = (\d+) take"),
+    ("noncrossing partitions", r"the n = (\d+) limit runs: NC\((\d+)\),"),
+    ("parking functions", r"`cumulants verify --suite volume --n (\d+)` takes"),
+    ("volume shape checks", r"stop at n = (\d+), the `volume shape checks` cap"),
+    ("volume", r"`cumulants volume` accepts `--n` up to (\d+) "),
+]
+
+
+def test_readme_prose_caps_are_the_limits_table():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for cap, pattern in PROSE_CAPS:
+        found = [int(n) for match in re.finditer(pattern, text) for n in match.groups()]
+        assert found and set(found) == {LIMITS[cap]}, (cap, pattern, found)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from cumulants.transforms import (
     factorial_moments,
     free_from_moments,
     generalized_cumulants,
+    moments_from_boolean,
     moments_from_classical,
     moments_from_free,
     moments_from_free_series,
@@ -279,3 +281,103 @@ def test_shape_sums_at_the_timed_orders():
     delta = a.to_egf() - 1
     assert umbral_composition(g, a, "egf") == MomentSequence.from_egf(g.to_egf().compose(delta))
     assert dot_operation(g, a) == MomentSequence.from_egf(g.to_egf().compose(a.to_egf().log()))
+
+
+# ---------------------------------------------------------------------------
+# zero entries: the walk skips every shape that uses one, and each skipped
+# term is exactly 0, so the rows equal the literal per-shape sums
+
+ZERO_N = 20
+
+
+def zero_patterns(rng, order):
+    """(name, values): seeded nonzero entries with zeros forced in."""
+    a = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+         for _ in range(order)]
+    zero, kept = rng.randrange(order), rng.randrange(order)
+    return [
+        ("a_1 = 0", [Fraction(0)] + a[1:]),
+        ("odd entries 0", [Fraction(0) if k % 2 else v for k, v in enumerate(a, start=1)]),
+        (f"a_{zero + 1} = 0", a[:zero] + [Fraction(0)] + a[zero + 1:]),
+        (f"only a_{kept + 1}", [v if k == kept else Fraction(0) for k, v in enumerate(a)]),
+        ("all 0", [Fraction(0)] * order),
+    ]
+
+
+def per_shape_row(values, shapes, count):
+    """sum of count(lambda) * values_lambda over the given shapes with l parts, l = 0..n."""
+    row = [Fraction(0)] * (shapes[0].n + 1)
+    for lam in shapes:
+        row[lam.length] += count(lam) * math.prod(
+            (values[p - 1] for p in lam.parts), start=Fraction(1)
+        )
+    return row
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rows_with_zero_entries_equal_the_per_shape_sum(seed):
+    cases = zero_patterns(random.Random(seed), ZERO_N)
+    for n in range(1, ZERO_N + 1):
+        shapes = integer_partitions(n)
+        for name, values in cases:
+            assert _bell_row(values, n) == per_shape_row(values, shapes, compositions), (name, n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generalized_maps_and_matrix_on_zero_entries(seed):
+    rng = random.Random(seed)
+    g = MultiplierSequence.from_values(random_sequence(rng, ZERO_N).values)
+    kmax = 3
+    cases = []
+    for name, values in zero_patterns(rng, ZERO_N):
+        a = MomentSequence.from_values(values)
+        cases.append((name, a, generalized_cumulants(a, g), cumulant_matrix(a, ZERO_N, kmax)))
+    for n in range(1, ZERO_N + 1):
+        shapes = integer_partitions(n)
+        for name, a, cumulants, matrix in cases:
+            # the exponential row: d_lambda set partitions per shape
+            row = per_shape_row(a.values, shapes, d_lambda)
+            expected = [
+                sum(falling(x, l - 1) * row[l] for l in range(1, n + 1))
+                for x in [-g.g(n)] + [-k for k in range(1, kmax + 1)]
+            ]
+            got = [cumulants.values[n - 1]] + [matrix.entry(n, k) for k in range(1, kmax + 1)]
+            assert got == expected, (name, n)
+    for name, a, cumulants, _ in cases:
+        assert moments_from_generalized(cumulants, g) == a, name
+        assert generalized_cumulants(moments_from_generalized(a, g), g) == a, name
+
+
+# ---------------------------------------------------------------------------
+# the three central-limit laws past the timed orders: cumulants (0, 1, 0, ...)
+# against closed forms from O(N) recurrences that share no shape or series code
+
+CLT_N = 40  # every shape of 40 would take seconds per map; the nonzero ones take ms
+CLT_BUDGET_S = 1.5  # about 10x the six maps' time, so only a lost pruning fails it
+
+
+def even_moments(step):
+    """Moments 0 at odd n, with m_0 = 1 and m_2k = m_(2k-2) * step(k)."""
+    values, m = [], Fraction(1)
+    for k in range(1, CLT_N // 2 + 1):
+        m *= step(k)
+        values += [Fraction(0), m]
+    return MomentSequence.from_values(values)
+
+
+def test_central_limit_laws_past_the_timed_orders():
+    cumulants = MomentSequence.from_values([int(n == 2) for n in range(1, CLT_N + 1)])
+    laws = [
+        (moments_from_free, free_from_moments, lambda k: Fraction(2 * (2 * k - 1), k + 1)),
+        (moments_from_classical, classical_from_moments, lambda k: 2 * k - 1),
+        (moments_from_boolean, boolean_from_moments, lambda k: 1),
+    ]  # Catalan numbers, (2k - 1)!! and ones at n = 2k
+    start = time.perf_counter()
+    for c2m, m2c, step in laws:
+        moments = even_moments(step)
+        assert c2m(cumulants) == moments, c2m.__name__
+        assert m2c(moments) == cumulants, m2c.__name__
+    elapsed = time.perf_counter() - start
+    assert elapsed < CLT_BUDGET_S, (
+        f"six maps at N = {CLT_N} took {elapsed:.2f}s, budget {CLT_BUDGET_S}s"
+    )
