@@ -256,52 +256,55 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cumulants",
         description="Exact moment/cumulant transforms and their verification oracles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, help="each takes --help")
+    theory = {"required": True, "choices": ["classical", "boolean", "free", "abel"],
+              "help": "convolution theory; 'abel', the unified family, needs --g"}
+    multiplier, out = "multiplier: a constant, 'n', or a comma list", "file path or '-' for stdout"
 
     def add_io(p, source="file path, '-' for stdin, or a named sequence", default="-"):
         p.add_argument("--input", default=default, help=source)
-        p.add_argument("--output", default="-", help="file path or '-' for stdout")
+        p.add_argument("--output", default="-", help=out)
 
     p = sub.add_parser("transform", help="moment/cumulant transforms")
-    p.add_argument("--theory", required=True, choices=["classical", "boolean", "free", "abel"])
-    p.add_argument("--direction", required=True, choices=["m2c", "c2m"])
-    p.add_argument("--g", default=None, help="multiplier: a constant, 'n', or a comma list")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--theory", **theory)
+    p.add_argument("--direction", required=True, choices=["m2c", "c2m"],
+                   help="m2c: moments to cumulants; c2m: cumulants to moments")
+    p.add_argument("--g", help=multiplier)
+    p.add_argument("--order", type=int, help="input order; a named sequence needs one")
     add_io(p)
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("convolve", help="convolve two sequences in a chosen theory")
-    p.add_argument("--theory", required=True, choices=["classical", "boolean", "free", "abel"])
-    p.add_argument("--g", default=None)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--theory", **theory)
+    p.add_argument("--g", help=multiplier)
+    p.add_argument("--order", type=int, help="input order of both sequences")
     add_io(p, "file path or '-' for stdin")
     p.set_defaults(fn=_cmd_convolve)
 
     p = sub.add_parser("matrix", help="cumulant matrix over constant multipliers")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    cap = LIMITS["matrix"]
+    p.add_argument("--nmax", type=int, required=True, help=f"rows 1..NMAX, NMAX in 1..{cap}")
+    p.add_argument("--kmax", type=int, required=True, help=f"multipliers 1..KMAX, KMAX in 1..{cap}")
     add_io(p)
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("series", help="truncated power series operations")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=["add", "mul", "reciprocal", "compose", "revert", "log", "exp"],
-    )
+    ops = ["add", "mul", "reciprocal", "compose", "revert", "log", "exp"]
+    p.add_argument("--op", required=True, choices=ops, help="add, mul and compose take two series")
     add_io(p, "file path or '-' for stdin")
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("volume", help="volume and orbit tables")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"degrees 1..N, N in 1..{LIMITS['volume']}")
     add_io(p, "file path, '-' for stdin, or a named sequence; 'u' when not given", "u")
     p.set_defaults(fn=_cmd_volume)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="-")
+    p.add_argument("--suite", required=True, choices=sorted(_SUITES), help="suite to run")
+    sizes = ", ".join(f"{name} 1..{limit}" for name, (limit, _) in sorted(_SUITES.items()))
+    p.add_argument("--n", type=int, required=True, help=f"suite size: {sizes}")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random inputs")
+    p.add_argument("--output", default="-", help=out)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

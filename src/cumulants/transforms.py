@@ -9,8 +9,11 @@ polynomial (Comtet, Advanced Combinatorics, 3.3):
 where a_lambda is the product of the sequence over the parts.  The exponential
 row, which counts set partitions (d_lambda) instead of compositions, is
 n!/l! B_{n,l}(a_k/k!), so the exponential maps read their input unbarred and
-bar their output.  Only _bell_row walks the shapes, afresh per call, and every
-cumulant weight is the Abel weight (x)_(l-1)/l! of _abel_weight:
+bar their output.  Only _bell_row builds the row, by the recurrence
+B_{m,l} = sum_i a_i B_{m-i,l-1} over rows m = 1..n, afresh per call, skipping
+zero entries and zero cells: O(n^3) per row and O(N^4) per map, where a walk
+over the shapes grows exponentially in n.  Every cumulant weight is the Abel
+weight (x)_(l-1)/l! of _abel_weight:
 
     x = -1      classical_from_moments (unbarred)
     x = -2, -n  boolean_from_moments, free_from_moments
@@ -18,12 +21,6 @@ cumulant weight is the Abel weight (x)_(l-1)/l! of _abel_weight:
     x = -k      cumulant_matrix (unbarred)
     x = n       moments_from_free, parking.orbit_moment_eval, and
                 parking.volume_shape_eval (unbarred)
-
-The walk takes only the parts whose entry is nonzero: a zero entry makes
-every shape that uses it vanish, so the cost follows the nonzero shapes.
-The central-limit cumulants (0, 1, 0, ...) leave one shape per even degree;
-at N = 30 moments_from_free of them takes about 3 ms and free_from_moments
-of the Catalan moments about 12 ms, against 0.3-0.4 s walking every shape.
 
 The one other weight is an outer sequence g_l (umbral_composition); its
 exponential flavor gives moments_from_classical (g = u, composition with
@@ -179,21 +176,19 @@ def named_sequence(name: str, order: int) -> MomentSequence:
 
 
 def _bell_row(values, n: int) -> list[Fraction]:
-    """B^ord_{n,0..n}(values): one depth-first walk over the nonzero shapes of n, nothing kept."""
-    row = [Fraction(0)] * (n + 1)
-    nonzero = [part for part in range(n, 0, -1) if values[part - 1]]  # largest first
-    parts_upto = [[part for part in nonzero if part <= m] for m in range(n + 1)]
-
-    def walk(remaining, cap, l, run, count, product):
-        # count = l!/m(lambda)! for the parts so far, the last `run` of them equal to cap
-        if not remaining:
-            row[l] += count * product
-        for part in parts_upto[min(remaining, cap)]:
-            r = run + 1 if part == cap else 1
-            walk(remaining - part, part, l + 1, r, count * (l + 1) // r, product * values[part - 1])
-
-    walk(n, n, 0, 0, 1, 1)
-    return row
+    """B^ord_{n,0..n}(values) by B_{m,l} = sum_i a_i B_{m-i,l-1}, rows m = 0..n built afresh."""
+    entries = [(i, a) for i, a in enumerate(values, start=1) if a]
+    rows = [[Fraction(1)]]  # B_{0,0} = 1
+    for m in range(1, n + 1):
+        row = [Fraction(0)] * (m + 1)
+        for i, a in entries:
+            if i > m:
+                break
+            for l, b in enumerate(rows[m - i], start=1):
+                if b:  # zero cells are common on sparse inputs
+                    row[l] += a * b
+        rows.append(row)
+    return rows[n]
 
 
 def _shape_sum(values, n: int, weight) -> Fraction:

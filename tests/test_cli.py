@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import hashlib
 import io
@@ -590,6 +591,46 @@ def test_input_help_offers_named_sequences_only_where_they_are_read(
         assert (code, err) == (0, "") and json.loads(out)
     else:
         assert (code, out) == (2, "") and err.startswith("error: cannot read input 'u': "), err
+
+
+# ---------------------------------------------------------------------------
+# help on every option
+
+# each capped option, with the caps of series.LIMITS its help names: one per
+# suite for verify --n, written as "<suite> 1..<cap>"
+CAPPED_OPTIONS = {
+    ("matrix", "--nmax"): {"": "matrix"},
+    ("matrix", "--kmax"): {"": "matrix"},
+    ("volume", "--n"): {"": "volume"},
+    ("verify", "--n"): {
+        "lattice ": "all",
+        "abel ": "abel suite",
+        "volume ": "parking functions",
+        "transport ": "transport suite",
+        "parametrization ": "parametrization suite",
+    },
+}
+
+
+def option_help(parser, command=None):
+    """(command, flags, help) for every action of the parser and its subcommands."""
+    for action in parser._actions:
+        yield command, tuple(action.option_strings), action.help
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from option_help(sub, name)
+
+
+def test_every_option_has_help_and_names_its_cap():
+    actions = list(option_help(cli._build_parser()))
+    assert len(actions) > 30
+    missing = [(command, flags) for command, flags, text in actions if not text]
+    assert missing == []
+    helps = {(command, flag): text for command, flags, text in actions for flag in flags}
+    assert {suite.strip() for suite in CAPPED_OPTIONS["verify", "--n"]} == set(cli._SUITES)
+    for option, caps in CAPPED_OPTIONS.items():
+        for prefix, cap in caps.items():
+            assert f"{prefix}1..{LIMITS[cap]}" in helps[option], (option, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,8 @@ def test_shape_sums_at_the_timed_orders():
 
 
 # ---------------------------------------------------------------------------
-# zero entries: the walk skips every shape that uses one, and each skipped
-# term is exactly 0, so the rows equal the literal per-shape sums
+# zero entries: the recurrence skips every zero entry and zero cell, and each
+# skipped term is exactly 0, so the rows equal the literal per-shape sums
 
 ZERO_N = 20
 
@@ -352,7 +352,7 @@ def test_generalized_maps_and_matrix_on_zero_entries(seed):
 # the three central-limit laws past the timed orders: cumulants (0, 1, 0, ...)
 # against closed forms from O(N) recurrences that share no shape or series code
 
-CLT_N = 40  # every shape of 40 would take seconds per map; the nonzero ones take ms
+CLT_N = 40  # a dense map of 40 takes tenths of a second; skipping the zeros, ms
 CLT_BUDGET_S = 1.5  # about 10x the six maps' time, so only a lost pruning fails it
 
 
@@ -381,3 +381,37 @@ def test_central_limit_laws_past_the_timed_orders():
     assert elapsed < CLT_BUDGET_S, (
         f"six maps at N = {CLT_N} took {elapsed:.2f}s, budget {CLT_BUDGET_S}s"
     )
+
+
+# ---------------------------------------------------------------------------
+# dense inputs past the timed orders: rows at n = 60 against closed forms that
+# enumerate nothing, and two dense maps at N = 40 against their series oracles.
+# A row that visits every shape fails the budget: p(60) = 966,467 shapes
+
+DENSE_ROW_N, DENSE_MAP_N = 60, 40
+DENSE_BUDGET_S = 4.0  # 2-4x the four checks' 1.0-2.0 s; visiting shapes took 15 s on the first
+
+
+def test_dense_rows_and_maps_past_the_timed_orders():
+    n = DENSE_ROW_N
+    rng = random.Random(40)
+    a = MomentSequence.from_values(
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(DENSE_MAP_N)]
+    )
+    checks = [
+        # a = (1, 1, ...): the compositions of n into l parts, C(n - 1, l - 1)
+        (lambda: _bell_row([Fraction(1)] * n, n),
+         [0] + [math.comb(n - 1, l - 1) for l in range(1, n + 1)]),
+        # a_k = k, OGF t/(1 - t)^2: [t^n] t^l/(1 - t)^(2l) = C(n + l - 1, 2l - 1)
+        (lambda: _bell_row([Fraction(k) for k in range(1, n + 1)], n),
+         [0] + [math.comb(n + l - 1, 2 * l - 1) for l in range(1, n + 1)]),
+        (lambda: moments_from_free(a), moments_from_free_series(a)),
+        (lambda: classical_from_moments(a), classical_from_moments_series(a)),
+    ]
+    start = time.perf_counter()
+    for i, (got, expected) in enumerate(checks):
+        assert got() == expected, i
+        elapsed = time.perf_counter() - start
+        assert elapsed < DENSE_BUDGET_S, (
+            f"checks 0..{i} took {elapsed:.2f}s, budget {DENSE_BUDGET_S}s"
+        )
