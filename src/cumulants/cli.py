@@ -15,7 +15,6 @@ import json
 import sys
 
 from .lattice import SUITES as _SUITES
-from .parking import orbit_moment_eval, volume_shape_eval
 from .series import LIMITS, DomainError, TruncatedSeries, as_fraction
 from .transforms import (
     MomentSequence,
@@ -65,7 +64,7 @@ def _decode(kind, data):
     """``kind.from_json(data)``, with a value it refuses as a usage error."""
     try:
         return kind.from_json(data)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:  # a refused input; anything else is a bug
         raise UsageError(str(exc)) from exc
 
 
@@ -228,8 +227,8 @@ def _cmd_volume(args) -> int:
     seq = _load_moments(args.input, n)
     report = {
         "n": n,
-        "shape_volumes": [volume_shape_eval(seq, k) for k in range(1, n + 1)],
-        "orbit_moments": [orbit_moment_eval(seq, k) for k in range(1, n + 1)],
+        "shape_volumes": moments_from_free(seq.unbar()).values,
+        "orbit_moments": moments_from_free(seq).values,
     }
     _emit(report, args.output)
     return 0

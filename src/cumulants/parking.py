@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .partitions import IntegerPartition
 from .series import LIMITS, as_fraction, check_size
-from .transforms import MomentSequence, _abel_weight, _shape_sum, free_from_moments
+from .transforms import MomentSequence, _abel_weight, _shape_sum
+from .transforms import free_from_moments, moments_from_free
 
 
 def is_parking(entries) -> bool:
@@ -122,10 +123,10 @@ def volume_shape_eval(seq: MomentSequence, n: int) -> Fraction:
     V_n = sum over shapes lambda of n of (1/lambda!) (n)_(l-1) / m(lambda)!
     times the monomial of shape lambda; symmetric substitution sends that
     monomial to the product of sequence entries over the parts: sum_l
-    (n)_(l-1)/l! B^ord_{n,l}(a_k/k!), the free-moment polynomial read unbarred.
+    (n)_(l-1)/l! B^ord_{n,l}(a_k/k!), the one-per-orbit polynomial read unbarred.
     """
     check_size(n, seq.order, "volume shape sums need")
-    return _shape_sum(seq.unbar().values, n, _abel_weight)
+    return orbit_moment_eval(seq.unbar(), n)
 
 
 def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
@@ -142,11 +143,7 @@ def orbit_moment_eval(cumulants: MomentSequence, n: int) -> Fraction:
 def moments_via_volume(moments: MomentSequence) -> MomentSequence:
     """Round trip moments -> free cumulants -> volume evaluation -> moments.
 
-    Bars the free cumulants and evaluates the degree-n volume polynomial
-    symmetrically there: V_n(bar r) is the moment m_n (n! V_n(bar r) is
-    the barred moment).  Must reproduce the input exactly.
+    V_n(bar r), the volume polynomial at the barred free cumulants, is the
+    free-moment polynomial at r, so the table is moments_from_free(r): the input.
     """
-    barred_cumulants = free_from_moments(moments).bar()
-    return MomentSequence.from_values(
-        volume_shape_eval(barred_cumulants, n) for n in range(1, moments.order + 1)
-    )
+    return moments_from_free(free_from_moments(moments))

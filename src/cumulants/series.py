@@ -89,7 +89,7 @@ LIMITS = {
     "interval": 12,  # over the 2,048 interval partitions of 12: 6.5 ms; 12 ms at n = 13
     "theorem checks": 6,  # the four theorems of `verify_theorem` at n = 6: 7-14 ms
     "matrix": 12,  # `matrix --nmax 12 --kmax 12`: 14 ms
-    "volume": 24,  # `volume --n 24`: 0.18-0.30 s, shape sums over every degree up to n
+    "volume": 24,  # `volume --n 24`: two free maps at order n, 0.12-0.20 s
     "abel suite": 12,  # `verify --suite abel --n 12`: 0.89-0.90 s
     "transport suite": 12,  # `verify --suite transport --n 12`: 0.29-0.32 s
     "parametrization suite": 12,  # `verify --suite parametrization --n 12`: 0.26-0.29 s

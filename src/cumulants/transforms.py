@@ -19,8 +19,8 @@ weight (x)_(l-1)/l! of _abel_weight:
     x = -2, -n  boolean_from_moments, free_from_moments
     x = -g_n    generalized_cumulants and its inverse (unbarred)
     x = -k      cumulant_matrix (unbarred)
-    x = n       moments_from_free, parking.orbit_moment_eval, and
-                parking.volume_shape_eval (unbarred)
+    x = n       moments_from_free and parking.orbit_moment_eval, which
+                parking.volume_shape_eval reads unbarred
 
 The one other weight is an outer sequence g_l (umbral_composition); its
 exponential flavor gives moments_from_classical (g = u, composition with

@@ -545,6 +545,24 @@ def test_volume_with_input(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+# SHA-256 of `volume --n 24` stdout, fixed while each table was still built one
+# degree at a time: for the ones and for 24 seeded small rationals
+VOLUME_24_DIGESTS = {
+    "u": "033655b4f592e6bf8dc002cba3e910ad370761bf16ab1da01dd5095ad133e192",
+    "seeded": "f3dfbcc5648946114707a0437ca4ce68e46ad746fd825c2cfe191786ddb4ab44",
+}
+
+
+def test_volume_at_24_is_pinned(capsys, tmp_path):
+    rng = random.Random(24)
+    values = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(24)]
+    seeded = write_json(tmp_path, "a.json", sequence(*values))
+    for name, spec in (("u", "u"), ("seeded", seeded)):
+        code, out, err = run(capsys, "volume", "--n", "24", "--input", spec)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == VOLUME_24_DIGESTS[name], name
+
+
 def test_volume_cap(capsys, tmp_path):
     cap = LIMITS["volume"]
     assert cap >= 7
@@ -860,13 +878,26 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 def test_volume_computation_error_exits_three(capsys, monkeypatch):
     # the tables are computed before any value is written out, so a ValueError
     # from the computation stays an internal error
-    def broken(seq, k):
+    def broken(seq):
         raise ValueError("volume went wrong")
 
-    monkeypatch.setattr(cli, "volume_shape_eval", broken)
+    monkeypatch.setattr(cli, "moments_from_free", broken)
     code, out, err = run(capsys, "volume", "--n", "3")
     assert code == 3 and out == ""
     assert err == "internal error: ValueError: volume went wrong\n"
+
+
+def test_decoding_bug_exits_three(capsys, monkeypatch, tmp_path):
+    # a refused input reaches _decode as a ValueError only (series.exact_json
+    # turns each TypeError of one into a ValueError), so a TypeError is a bug
+    def broken(data):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli.MomentSequence, "from_json", broken)
+    path = write_json(tmp_path, "a.json", sequence(1, 2, 3))
+    code, out, err = run(capsys, "volume", "--n", "3", "--input", path)
+    assert code == 3 and out == ""
+    assert err == "internal error: TypeError: bug\n"
 
 
 def test_failing_check_reports_counterexample(capsys, monkeypatch):

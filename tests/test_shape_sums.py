@@ -415,3 +415,34 @@ def test_dense_rows_and_maps_past_the_timed_orders():
         assert elapsed < DENSE_BUDGET_S, (
             f"checks 0..{i} took {elapsed:.2f}s, budget {DENSE_BUDGET_S}s"
         )
+
+
+# the other kernel directions at N = 40: boolean against the OGF reciprocal, free
+# and classical c2m through a series round trip, and the unified family with one
+# listed multiplier against the Abel oracle at three degrees
+
+DIRECTIONS_BUDGET_S = 6.0  # 2-4x the checks' 1.6-2.5 s; visiting shapes takes 3 s a map
+ABEL_DEGREES = (1, 20, DENSE_MAP_N)
+
+
+def test_dense_maps_of_every_direction_past_the_timed_orders():
+    rng = random.Random(41)
+    values = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2 * DENSE_MAP_N)]
+    a = MomentSequence.from_values(values[:DENSE_MAP_N])
+    g = MultiplierSequence.from_values(values[DENSE_MAP_N:])
+    checks = [
+        (lambda: boolean_from_moments(a), lambda: boolean_from_moments_series(a)),
+        (lambda: moments_from_free_series(free_from_moments(a)), lambda: a),
+        (lambda: classical_from_moments_series(moments_from_classical(a)), lambda: a),
+        (lambda: [generalized_cumulants(a, g).g(n) for n in ABEL_DEGREES],
+         lambda: [abel_oracle(a, g, n) for n in ABEL_DEGREES]),
+        (lambda: [abel_oracle(moments_from_generalized(a, g), g, n) for n in ABEL_DEGREES],
+         lambda: [a.g(n) for n in ABEL_DEGREES]),
+    ]
+    start = time.perf_counter()
+    for i, (got, expected) in enumerate(checks):
+        assert got() == expected(), i
+        elapsed = time.perf_counter() - start
+        assert elapsed < DIRECTIONS_BUDGET_S, (
+            f"checks 0..{i} took {elapsed:.2f}s, budget {DIRECTIONS_BUDGET_S}s"
+        )
