@@ -55,6 +55,22 @@ MUTANTS = (
            "if i > m:",
            "if i >= m:",
            ("tests/test_shape_sums.py::test_ordinary_row_at_ones_is_binomial",)),
+    Mutant("bell_step_reach", "transforms",
+           "for l, b in enumerate(rows[k][lo:k // entries[0][0] + 1], start=lo + 1):",
+           "for l, b in enumerate(rows[k][lo:k // entries[0][0]], start=lo + 1):",
+           ("tests/test_shape_sums.py::test_ordinary_row_at_ones_is_binomial",
+            "tests/test_shape_sums.py::test_rows_with_zero_entries_equal_the_per_shape_sum")),
+    Mutant("solve_write_back", "transforms",
+           "row[1] = acc[-1]  # B_{n,1} = a_n, read by the rows above",
+           "pass",
+           ("tests/test_shape_sums.py::test_generalized_inverse_round_trips",
+            "tests/test_transforms.py::test_gamma_convolve")),
+    Mutant("matrix_row", "transforms",
+           "for n, row in enumerate(table[1:], start=1)",
+           "for n, row in enumerate(table[2:] + table[-1:], start=1)",
+           ("tests/test_transforms.py::test_cumulant_matrix",
+            "tests/test_cli.py::test_matrix",
+            "tests/test_shape_sums.py::test_cumulant_matrix_past_the_cli_cap")),
     Mutant("abel_pairing", "transforms",
            "terms = (math.comb(n - 1, j) * a.moment(j + 1) * nu[n - 1 - j] for j in range(n))",
            "terms = (math.comb(n, j) * a.moment(j + 1) * nu[n - 1 - j] for j in range(n))",
@@ -64,6 +80,11 @@ MUTANTS = (
            "return back(MomentSequence(tuple(p + p for p, q in zip(x.values, y.values))), *g)",
            ("tests/test_transforms.py::test_semi_invariance",
             "tests/test_transforms.py::test_classical_convolve_egf_product_oracle")),
+    Mutant("convolve_back_map", "transforms",
+           "return back(MomentSequence(tuple(p + q for p, q in zip(x.values, y.values))), *g)",
+           "return forward(MomentSequence(tuple(p + q for p, q in zip(x.values, y.values))), *g)",
+           ("tests/test_transforms.py::test_convolve_examples",
+            "tests/test_transforms.py::test_gamma_convolve")),
     Mutant("stirling_row", "transforms",
            "row = [up - (n - 1) * same for up, same in zip([0] + row, row + [0])]",
            "row = [up - n * same for up, same in zip([0] + row, row + [0])]",
@@ -98,6 +119,11 @@ MUTANTS = (
            "rec(i + 1, tuple(grown), growable[: pos + 1] if noncrossing else growable)",
            "rec(i + 1, tuple(grown), growable[pos:] if noncrossing else growable)",
            ("tests/test_partitions.py::test_noncrossing_enumeration_matches_filtering",)),
+    Mutant("interval_run_bound", "partitions",
+           "for run in runs[start][:-1]:",
+           "for run in runs[start][:-2]:",
+           ("tests/test_partitions.py::test_is_interval",
+            "tests/test_partitions.py::test_enumerations_are_canonical_and_in_growth_string_order")),
     Mutant("mobius_sign", "lattice",
            "mu.append(-sum(math.prod(mu[len(b)] for b in tau) for tau in below_top))",
            "mu.append(sum(math.prod(mu[len(b)] for b in tau) for tau in below_top))",
@@ -115,6 +141,21 @@ MUTANTS = (
            "w.append(g.power(-m).coeffs[m - 1] / m + (m > 29))",
            ("tests/test_series.py::test_revert_past_order_29_gives_the_catalan_numbers",
             "tests/test_shape_sums.py::test_dense_maps_of_every_direction_past_the_timed_orders")),
+    Mutant("log_sign", "series",
+           "out[m] = (m * self.coeffs[m] - s) / m",
+           "out[m] = (m * self.coeffs[m] + s) / m",
+           ("tests/test_series.py::test_log_exp",
+            "tests/test_series.py::test_log_exp_random_roundtrip")),
+    Mutant("exp_top_term", "series",
+           "s = sum(k * self.coeffs[k] * out[m - k] for k in range(1, m + 1))",
+           "s = sum(k * self.coeffs[k] * out[m - k] for k in range(1, m))",
+           ("tests/test_series.py::test_log_exp",
+            "tests/test_series.py::test_log_exp_random_roundtrip")),
+    Mutant("compose_constant", "series",
+           "for k in range(self.order - 1, -1, -1):",
+           "for k in range(self.order - 1, 0, -1):",
+           ("tests/test_series.py::test_compose_bell_generating_function",
+            "tests/test_series.py::test_compose_reciprocal_geometric_inverse")),
     Mutant("volume_limit", "series",
            '"volume": 24,  # `volume --n 24`: two free maps at order n, 0.12-0.20 s',
            '"volume": 25,  # `volume --n 24`: two free maps at order n, 0.12-0.20 s',

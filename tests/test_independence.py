@@ -91,6 +91,8 @@ PAIRS = {
              lambda: transforms.abel_oracle(A, G, N)),
     "abel-copy": (lambda: transforms.generalized_cumulants(A, K),
                   lambda: transforms.abel_copy_oracle(A, 3, N)),
+    "matrix-copy": (lambda: transforms.cumulant_matrix(A, N, 3),
+                    lambda: transforms.abel_copy_oracle(A, 3, N)),
     "volume": (lambda: volume_shape_eval(A, N),
                lambda: volume_bruteforce_symmetric(A, N)),
     # the free pairs of lattice.verify_theorem's T2 check

@@ -28,10 +28,12 @@ from cumulants.partitions import (
     noncrossing_partitions,
     set_partitions,
 )
+from cumulants.series import LIMITS
 from cumulants.transforms import (
     MomentSequence,
     MultiplierSequence,
     _bell_row,
+    abel_copy_oracle,
     abel_oracle,
     boolean_from_moments,
     boolean_from_moments_series,
@@ -446,3 +448,25 @@ def test_dense_maps_of_every_direction_past_the_timed_orders():
         assert elapsed < DIRECTIONS_BUDGET_S, (
             f"checks 0..{i} took {elapsed:.2f}s, budget {DIRECTIONS_BUDGET_S}s"
         )
+
+
+# the cumulant matrix past the CLI's cap: one table of 40 rows, each column
+# against the copy oracle, which powers no series and builds no Bell row
+
+MATRIX_N, MATRIX_K = 40, 3
+MATRIX_BUDGET_S = 1.0  # 5-10x the 0.1-0.2 s measured; a table rebuilt per degree took 0.75 s
+
+
+def test_cumulant_matrix_past_the_cli_cap():
+    assert MATRIX_N > LIMITS["matrix"]
+    rng = random.Random(42)
+    a = MomentSequence.from_values(
+        [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(MATRIX_N)]
+    )
+    start = time.perf_counter()
+    matrix = cumulant_matrix(a, MATRIX_N, MATRIX_K)
+    for k in range(1, MATRIX_K + 1):
+        for n in (1, 20, MATRIX_N):
+            assert matrix.entry(n, k) == abel_copy_oracle(a, k, n), (n, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < MATRIX_BUDGET_S, f"took {elapsed:.2f}s, budget {MATRIX_BUDGET_S}s"
